@@ -287,7 +287,15 @@ void RunHttpSynthetic(bench::BenchReporter& rep,
     double qps_on = 0.0;
     double overhead = 1e9;
     uint64_t profile_samples = 0;
-    if (util::obs::CpuProfiler::Supported()) {
+    // Under bench_cli --profile the global profiler is already capturing
+    // the whole run, so there is no "off" side to pair against: skip the
+    // rounds (keeping the rows, as on platforms without the profiler).
+    const bool profiler_busy = util::obs::CpuProfiler::Global().running();
+    if (profiler_busy) {
+      rep.Note("profiler overhead rounds skipped: the CPU profiler is "
+               "already running (--profile); the overhead row reports 1.0");
+    }
+    if (util::obs::CpuProfiler::Supported() && !profiler_busy) {
       for (int round = 0; round < kRounds; ++round) {
         const LoadResult off =
             DriveLoad(server.port(), n, 2, 1, seconds, seed + 47 * round);
@@ -309,7 +317,7 @@ void RunHttpSynthetic(bench::BenchReporter& rep,
       }
     } else {
       // Keep the row (check_bench requires rows to persist) with a
-      // truthful no-op value on platforms without the profiler.
+      // no-op value when no paired rounds ran.
       overhead = 1.0;
     }
     const double prof_wall = 2 * kRounds * seconds;

@@ -1,14 +1,12 @@
-// Scatter-gather serving benchmark: qps/latency vs shard count, offered
-// load past saturation over real HTTP, and deterministic models of the
-// admission gate and the result cache.
+// Serving overload benchmark: offered load past saturation over real
+// HTTP, and deterministic models of the admission gate and the result
+// cache.
 //
 // Row classes (tools/check_bench.py):
-//   * qps / *_ms / *_seconds rows are timings — never value-compared,
-//     gated only through the per-scenario wall-time aggregate;
-//   * `identity`, `shed_rate`, and `cache_hit_rate` rows are exact-gated:
-//     identity is the fraction of sharded exact-mode answers bit-identical
-//     to the unsharded engine (must stay 1.0), and the shed/cache rates
-//     come from seeded simulations of the real AdmissionController /
+//   * qps / *_ms rows are timings — never value-compared, gated only
+//     through the per-scenario wall-time aggregate;
+//   * `shed_rate` and `cache_hit_rate` rows are exact-gated: they come
+//     from seeded simulations of the real AdmissionController /
 //     ResultCache — pure functions of (seed, grid), so any drift is a
 //     behavior change, not noise.
 
@@ -26,7 +24,6 @@
 #include "serve/http/server.h"
 #include "serve/http/service.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "serve/snapshot.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -70,126 +67,13 @@ serve::Snapshot MakeSnapshot(size_t n, int dim, uint64_t seed) {
   util::Rng rng(seed);
   const auto vectors = MakeClusteredVectors(n, dim, 64, &rng);
   serve::Snapshot snap;
-  snap.meta.scenario = "ShardScaling";
+  snap.meta.scenario = "Overload";
   snap.meta.Set("candidate_prefix", "v");
   snap.table = embed::EmbeddingTable(dim);
   for (size_t i = 0; i < n; ++i) {
     snap.table.Put("v" + std::to_string(i), vectors[i]);
   }
   return snap;
-}
-
-// ---------------------------------------------------------------------------
-// ShardScaling: qps / p99 / bit-identity vs shard count
-// ---------------------------------------------------------------------------
-
-void RunShardScaling(bench::BenchReporter& rep,
-                     const bench::BenchOptions& opts) {
-  if (!opts.Matches("ShardScaling")) return;
-  const char* scenario = "ShardScaling";
-  size_t n = 20000;
-  double seconds = 0.4;
-  size_t identity_queries = 400;
-  if (opts.scale == bench::Scale::kSmoke) {
-    n = 4000;
-    seconds = 0.2;
-    identity_queries = 150;
-  }
-  if (opts.scale == bench::Scale::kFull) {
-    n = 50000;
-    seconds = 0.8;
-  }
-  const int dim = 32;
-  const uint64_t seed = opts.seed == 0 ? 7 : opts.seed;
-  const size_t k = 10;
-
-  rep.Printf("\nShard scaling: n=%zu dim=%d k=%zu, fixed %.2fs per "
-             "throughput cell\n",
-             n, dim, k, seconds);
-  rep.Printf("%-10s %-12s %-10s %-10s %-10s %-9s\n", "shards",
-             "build_s", "qps", "p50_ms", "p99_ms", "identity");
-
-  // The unsharded reference every shard count must reproduce bit-exactly
-  // in exact mode.
-  serve::ShardedEngineOptions ref_opts;
-  ref_opts.shards = 1;
-  ref_opts.engine.ivf.seed = seed;
-  auto reference =
-      serve::ShardedQueryEngine::Build(MakeSnapshot(n, dim, seed), "v",
-                                       ref_opts);
-  TDM_CHECK(reference.ok()) << reference.status().ToString();
-
-  util::Rng pick(seed + 17);
-  std::vector<std::string> batch_labels;
-  for (size_t i = 0; i < 512; ++i) {
-    batch_labels.push_back("v" + std::to_string(pick.UniformInt(n)));
-  }
-
-  for (const size_t shards :
-       {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    serve::ShardedEngineOptions sopts;
-    sopts.shards = shards;
-    sopts.engine.ivf.seed = seed;
-    util::StopWatch watch;
-    auto engine = serve::ShardedQueryEngine::Build(
-        MakeSnapshot(n, dim, seed), "v", sopts);
-    TDM_CHECK(engine.ok()) << engine.status().ToString();
-    const double build_seconds = watch.ElapsedSeconds();
-
-    // Bit-identity vs the unsharded reference, exact mode: labels,
-    // global candidate ids, and score bits must all agree.
-    size_t identical = 0;
-    for (size_t q = 0; q < identity_queries; ++q) {
-      const std::string label =
-          "v" + std::to_string(q * (n / identity_queries));
-      auto want = reference->Query(label, k, serve::SearchMode::kExact);
-      auto got = engine->Query(label, k, serve::SearchMode::kExact);
-      TDM_CHECK(want.ok() && got.ok());
-      bool same = want->size() == got->size();
-      for (size_t r = 0; same && r < want->size(); ++r) {
-        same = (*want)[r].label == (*got)[r].label &&
-               (*want)[r].candidate == (*got)[r].candidate &&
-               (*want)[r].score == (*got)[r].score;
-      }
-      identical += same ? 1 : 0;
-    }
-    const double identity = static_cast<double>(identical) /
-                            static_cast<double>(identity_queries);
-
-    // Throughput: threaded QueryBatch over a fixed label set for a fixed
-    // wall budget (machine-independent scenario wall by construction).
-    watch.Reset();
-    uint64_t done = 0;
-    while (watch.ElapsedSeconds() < seconds) {
-      auto results = engine->QueryBatch(batch_labels, k);
-      TDM_CHECK(results.size() == batch_labels.size());
-      done += results.size();
-    }
-    const double qps = static_cast<double>(done) / watch.ElapsedSeconds();
-
-    // Single-query latency distribution (approx mode, the serving
-    // default), one caller.
-    std::vector<double> lat_ms;
-    lat_ms.reserve(256);
-    for (size_t q = 0; q < 256; ++q) {
-      const std::string& label = batch_labels[q % batch_labels.size()];
-      util::StopWatch one;
-      auto r = engine->Query(label, k);
-      TDM_CHECK(r.ok());
-      lat_ms.push_back(one.ElapsedMillis());
-    }
-    const double p50 = Percentile(lat_ms, 0.5);
-    const double p99 = Percentile(lat_ms, 0.99);
-
-    const std::string param = "shards=" + std::to_string(shards);
-    rep.Add(scenario, param, "build_seconds", build_seconds, build_seconds);
-    rep.Add(scenario, param, "qps", qps, seconds);
-    rep.Add(scenario, param, "p50_ms", p50, 0.0);
-    rep.Add(scenario, param, "p99_ms", p99, 0.0);
-    rep.Add(scenario, param, "identity", identity, 0.0);
-    rep.Printf("%-10zu %-12.3f %-10.0f %-10.4f %-10.4f %-9.3f\n", shards,
-               build_seconds, qps, p50, p99, identity);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +92,7 @@ void RunOverload(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
   const int dim = 32;
   const uint64_t seed = opts.seed == 0 ? 7 : opts.seed;
 
-  std::string path = "serve_shard_bench.tds";
+  std::string path = "serve_overload_bench.tds";
   if (const char* tmp = std::getenv("TMPDIR"); tmp != nullptr) {
     path = std::string(tmp) + "/" + path;
   } else {
@@ -225,7 +109,6 @@ void RunOverload(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
   // machine; --max-inflight 8 makes the excess shed instead of queue.
   serve::http::ServiceOptions sopts;
   sopts.engine.ivf.seed = seed;
-  sopts.shards = 4;
   sopts.max_inflight = 8;
   sopts.allow_debug_delay = true;
   serve::http::MatchService service(sopts);
@@ -242,7 +125,7 @@ void RunOverload(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
     TDM_CHECK(st.ok()) << st.ToString();
   }
 
-  rep.Printf("\nOverload: shards=4, max_inflight=8, 1ms simulated work, "
+  rep.Printf("\nOverload: max_inflight=8, 1ms simulated work, "
              "%.2fs per offered-load cell\n", seconds);
   rep.Printf("%-10s %-14s %-10s %-14s\n", "conn", "achieved_qps", "p99_ms",
              "observed_shed");
@@ -387,11 +270,9 @@ void RunCacheModel(bench::BenchReporter& rep,
 
 int main(int argc, char** argv) {
   bench::BenchOptions opts = bench::ParseArgsOrExit(argc, argv);
-  bench::BenchReporter rep("serve_shard", opts);
-  rep.Note("Sharded scatter-gather serving: qps/p99 vs shard count "
-           "(exact-mode bit-identity gated), offered load past saturation, "
+  bench::BenchReporter rep("serve_overload", opts);
+  rep.Note("Serving overload: offered load past saturation, "
            "deterministic admission + cache models");
-  RunShardScaling(rep, opts);
   RunOverload(rep, opts);
   RunAdmissionModel(rep, opts);
   RunCacheModel(rep, opts);

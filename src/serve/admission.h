@@ -91,7 +91,7 @@ struct NprobeTunerOptions {
   /// p99 latency target in milliseconds; <= 0 disables tuning.
   double budget_ms = 0.0;
   size_t min_nprobe = 1;
-  /// Ceiling — the serving layer passes the largest shard nlist.
+  /// Ceiling — the serving layer passes the engine's IVF nlist.
   size_t max_nprobe = 64;
   size_t initial_nprobe = 4;
   /// Observations between adjustments. One window must contain enough

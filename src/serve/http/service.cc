@@ -90,7 +90,7 @@ std::string CompilerId() {
 // ---------------------------------------------------------------------------
 
 const char* const MatchService::kStageNames[MatchService::kStages] = {
-    "parse", "cache", "admission", "scatter", "merge", "serialize"};
+    "parse", "cache", "admission", "search", "serialize"};
 
 MatchService::MatchService(ServiceOptions options)
     : options_(std::move(options)),
@@ -133,9 +133,9 @@ MatchService::MatchService(ServiceOptions options)
         {{"stage", kStageNames[i]}});
   }
 
-  // Components that keep their own counters (admission, cache, tuner,
-  // shards) publish through render-time callbacks: the registry is the
-  // single exposition surface without double-counting state.
+  // Components that keep their own counters (admission, cache, tuner)
+  // publish through render-time callbacks: the registry is the single
+  // exposition surface without double-counting state.
   using util::obs::MetricType;
   registry_->RegisterCallback(
       MetricType::kCounter, "tdmatch_admission_admitted_total",
@@ -184,20 +184,6 @@ MatchService::MatchService(ServiceOptions options)
       [this] {
         return tuner_ != nullptr ? static_cast<double>(tuner_->adjustments())
                                  : 0.0;
-      });
-  registry_->RegisterCallback(
-      MetricType::kGauge, "tdmatch_shards_configured",
-      "Configured scatter-gather shard count", {}, [this] {
-        const auto s = state();
-        return s != nullptr ? static_cast<double>(s->engine->num_shards())
-                            : 0.0;
-      });
-  registry_->RegisterCallback(
-      MetricType::kGauge, "tdmatch_shards_active",
-      "Shards that own candidates", {}, [this] {
-        const auto s = state();
-        return s != nullptr ? static_cast<double>(s->engine->active_shards())
-                            : 0.0;
       });
   registry_->RegisterCallback(
       MetricType::kGauge, "tdmatch_snapshot_version",
@@ -276,50 +262,32 @@ util::Result<std::shared_ptr<const EngineState>> MatchService::BuildState(
   auto state = std::make_shared<EngineState>();
   state->version = version;
   state->snapshot_path = path;
-  state->mmap = options_.use_mmap;
-  ShardedEngineOptions sharded;
-  sharded.shards = options_.shards;
-  sharded.engine = options_.engine;
-  if (options_.use_mmap) {
-    TDM_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotView> view,
-                         SnapshotView::Open(path));
-    std::string prefix = view->meta().Find("candidate_prefix");
-    if (prefix.empty()) prefix = "__D1:";
-    state->snapshot_format = view->sections().empty()
-                                 ? SnapshotIo::kVersion
-                                 : SnapshotIo::kVersionSections;
-    TDM_ASSIGN_OR_RETURN(
-        ShardedQueryEngine engine,
-        ShardedQueryEngine::BuildFromView(std::move(view), prefix, sharded));
-    state->engine = std::make_shared<ShardedQueryEngine>(std::move(engine));
-  } else {
-    TDM_ASSIGN_OR_RETURN(Snapshot snap, SnapshotIo::Read(path));
-    std::string prefix = snap.meta.Find("candidate_prefix");
-    if (prefix.empty()) prefix = "__D1:";
-    state->snapshot_format = snap.sections.empty()
-                                 ? SnapshotIo::kVersion
-                                 : SnapshotIo::kVersionSections;
-    TDM_ASSIGN_OR_RETURN(
-        ShardedQueryEngine engine,
-        ShardedQueryEngine::Build(std::move(snap), prefix, sharded));
-    state->engine = std::make_shared<ShardedQueryEngine>(std::move(engine));
-  }
+  TDM_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotView> view,
+                       SnapshotView::Open(path));
+  std::string prefix = view->meta().Find("candidate_prefix");
+  if (prefix.empty()) prefix = "__D1:";
+  state->snapshot_format = view->sections().empty()
+                               ? SnapshotIo::kVersion
+                               : SnapshotIo::kVersionSections;
+  TDM_ASSIGN_OR_RETURN(
+      QueryEngine engine,
+      QueryEngine::BuildFromView(std::move(view), prefix, options_.engine));
+  state->engine = std::make_shared<const QueryEngine>(std::move(engine));
   state->load_seconds = watch.ElapsedSeconds();
   return std::shared_ptr<const EngineState>(std::move(state));
 }
 
 void MatchService::PublishStateMetrics(const EngineState& state) {
   // build_info: the conventional value-1 gauge whose labels carry the
-  // identity — compiler, runtime SIMD dispatch decision, snapshot format,
-  // shard count. Re-registered per epoch (the format can change across
-  // reloads); identity is otherwise process-constant.
+  // identity — compiler, runtime SIMD dispatch decision, snapshot format.
+  // Re-registered per epoch (the format can change across reloads);
+  // identity is otherwise process-constant.
   registry_->ClearCallbacks("tdmatch_build_info");
   util::obs::LabelSet info = {
       {"compiler", CompilerId()},
       {"simd", simd::IsaName(simd::ActiveIsa())},
       {"forced_scalar", simd::ForcedScalarByEnv() ? "1" : "0"},
       {"snapshot_format", std::to_string(state.snapshot_format)},
-      {"shards", std::to_string(options_.shards)},
   };
   registry_->RegisterCallback(util::obs::MetricType::kGauge,
                               "tdmatch_build_info",
@@ -349,15 +317,15 @@ util::Status MatchService::LoadInitial(const std::string& snapshot_path) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   TDM_ASSIGN_OR_RETURN(std::shared_ptr<const EngineState> state,
                        BuildState(snapshot_path, 1));
-  // The tuner's ceiling is the loaded engine's largest shard nlist —
-  // probing more cells than exist buys nothing. Created once here (before
-  // serving starts); reloads clamp at use instead of resetting the
-  // tuner's learned position.
+  // The tuner's ceiling is the loaded engine's nlist — probing more cells
+  // than exist buys nothing. Created once here (before serving starts);
+  // reloads clamp at use instead of resetting the tuner's learned
+  // position.
   NprobeTunerOptions tuning;
   tuning.budget_ms = options_.latency_budget_ms;
   tuning.initial_nprobe = options_.engine.ivf.nprobe;
   tuning.max_nprobe =
-      state->engine->has_ivf() ? state->engine->max_nprobe() : 1;
+      state->engine->has_ivf() ? state->engine->ivf_index()->nlist() : 1;
   tuner_ = std::make_unique<NprobeTuner>(tuning);
   PublishStateMetrics(*state);
   std::atomic_store(&state_, std::move(state));
@@ -519,7 +487,7 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
   if (state == nullptr) {
     return ErrorResponse(503, "no snapshot loaded");
   }
-  const ShardedQueryEngine& engine = *state->engine;
+  const QueryEngine& engine = *state->engine;
 
   // --- parse + validate ----------------------------------------------------
   util::obs::Trace::Span parse_span(trace, "parse");
@@ -589,7 +557,7 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
   if (tuner_ != nullptr && tuner_->enabled() &&
       mode == SearchMode::kApprox && engine.has_ivf()) {
     nprobe = std::max<size_t>(
-        1, std::min(tuner_->nprobe(), engine.max_nprobe()));
+        1, std::min(tuner_->nprobe(), engine.ivf_index()->nlist()));
   }
   parse_span.Close();
 
@@ -624,12 +592,6 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
         std::chrono::duration<double, std::milli>(delay_ms));
   }
 
-  // Scatter/merge stage timings come from inside the engine (pool fan-out
-  // vs. global merge); only collected when this request is traced.
-  ShardedQueryEngine::QueryTiming timing;
-  ShardedQueryEngine::QueryTiming* timing_out =
-      trace != nullptr ? &timing : nullptr;
-
   util::JsonWriter w;
   w.BeginObject()
       .Key("snapshot_version").Value(state->version)
@@ -656,9 +618,9 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
       }
       names.push_back(ResolveLabel(item.string_value(), engine.meta()));
     }
-    util::obs::Trace::Span scatter_span(trace, "scatter");
+    util::obs::Trace::Span search_span(trace, "search");
     const auto results = engine.QueryBatch(names, k, mode, nprobe);
-    scatter_span.Close();
+    search_span.Close();
     queries_->Inc(names.size());
     util::obs::Trace::Span serialize_span(trace, "serialize");
     w.Key("results").BeginArray();
@@ -698,13 +660,11 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
         }
         block.push_back(ResolveLabel(item.string_value(), engine.meta()));
       }
-      result = engine.QueryFiltered(name, block, k, timing_out);
+      util::obs::Trace::Span search_span(trace, "search");
+      result = engine.QueryFiltered(name, block, k);
     } else {
-      result = engine.Query(name, k, mode, nprobe, timing_out);
-    }
-    if (trace != nullptr) {
-      trace->AddSpan("scatter", timing.scatter_ms);
-      trace->AddSpan("merge", timing.merge_ms);
+      util::obs::Trace::Span search_span(trace, "search");
+      result = engine.Query(name, k, mode, nprobe);
     }
     queries_->Inc();
     if (!result.ok()) {
@@ -731,11 +691,9 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
       }
       q.push_back(static_cast<float>(item.number_value()));
     }
-    const auto result = engine.QueryVector(q, k, mode, nprobe, timing_out);
-    if (trace != nullptr) {
-      trace->AddSpan("scatter", timing.scatter_ms);
-      trace->AddSpan("merge", timing.merge_ms);
-    }
+    util::obs::Trace::Span search_span(trace, "search");
+    const auto result = engine.QueryVector(q, k, mode, nprobe);
+    search_span.Close();
     queries_->Inc();
     if (!result.ok()) {
       errors_->Inc();
@@ -955,7 +913,7 @@ HttpResponse MatchService::HandleStats(const HttpRequest&) {
   if (state == nullptr) {
     return ErrorResponse(503, "no snapshot loaded");
   }
-  const ShardedQueryEngine& engine = *state->engine;
+  const QueryEngine& engine = *state->engine;
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)
@@ -968,7 +926,6 @@ HttpResponse MatchService::HandleStats(const HttpRequest&) {
       .Key("snapshot_version").Value(state->version)
       .Key("snapshot_path").Value(state->snapshot_path)
       .Key("scenario").Value(engine.meta().scenario)
-      .Key("snapshot_loader").Value(state->mmap ? "mmap" : "copy")
       .Key("load_seconds").Value(state->load_seconds)
       .Key("candidates").Value(static_cast<uint64_t>(
           engine.num_candidates()))
@@ -986,10 +943,6 @@ HttpResponse MatchService::HandleStats(const HttpRequest&) {
       .Key("p50").Value(latency_->Percentile(0.50))
       .Key("p90").Value(latency_->Percentile(0.90))
       .Key("p99").Value(latency_->Percentile(0.99))
-      .EndObject()
-      .Key("shards").BeginObject()
-      .Key("configured").Value(static_cast<uint64_t>(engine.num_shards()))
-      .Key("active").Value(static_cast<uint64_t>(engine.active_shards()))
       .EndObject()
       // max_inflight: -1 encodes "unlimited" (SIZE_MAX is not a JSON-safe
       // integer).
@@ -1033,7 +986,6 @@ HttpResponse MatchService::HandleStats(const HttpRequest&) {
       .Key("forced_scalar").Value(simd::ForcedScalarByEnv())
       .Key("snapshot_format").Value(static_cast<uint64_t>(
           state->snapshot_format))
-      .Key("shards").Value(static_cast<uint64_t>(options_.shards))
       .EndObject()
       .EndObject();
   return HttpResponse::Json(200, w.str());

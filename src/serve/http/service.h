@@ -13,7 +13,6 @@
 #include "serve/http/server.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
 #include "util/obs/jsonlog.h"
 #include "util/obs/metrics.h"
 #include "util/obs/profiler.h"
@@ -32,26 +31,19 @@ namespace http {
 struct EngineState {
   uint64_t version = 0;
   std::string snapshot_path;
-  bool mmap = false;
   double load_seconds = 0.0;
   /// On-disk format version of the loaded snapshot (1 = plain, 2 = with
   /// sections), surfaced in build_info.
   uint32_t snapshot_format = 1;
-  std::shared_ptr<ShardedQueryEngine> engine;
+  std::shared_ptr<const QueryEngine> engine;
 };
 
 struct ServiceOptions {
   QueryEngineOptions engine;
-  /// Load snapshots through the zero-copy mmap view (SnapshotView) rather
-  /// than the copying loader.
-  bool use_mmap = true;
   /// Expose POST /v1/reload. Off ⇒ the route is not registered at all.
   bool allow_reload = true;
   /// Per-request cap on batch "labels" length.
   size_t max_batch = 1024;
-  /// Scatter-gather shard count for the serving engine. 1 = the classic
-  /// unsharded engine (exact-mode results are bit-identical either way).
-  size_t shards = 1;
   /// Admission budget for /v1/query: requests past this many in flight
   /// get 429 + Retry-After. SIZE_MAX never sheds; 0 sheds everything.
   size_t max_inflight = std::numeric_limits<size_t>::max();
@@ -106,7 +98,8 @@ struct ServiceOptions {
 };
 
 /// \brief The JSON endpoints of the serving front end, bound to an
-/// HttpServer:
+/// HttpServer. Each snapshot is served by one QueryEngine built with
+/// QueryEngine::BuildFromView over SnapshotView::Open(path):
 ///
 ///   POST /v1/query    single ({"label"}), batch ({"labels": [...]}),
 ///                     raw vector ({"vector": [...]}); optional "k",
@@ -124,9 +117,8 @@ struct ServiceOptions {
 /// one relaxed atomic bump on the hot path); /v1/stats and /v1/metrics
 /// are two renderings of the same data. A request that wins the trace
 /// sample (or any request when --slow-query-ms is set) carries an
-/// obs::Trace whose spans — parse, cache, admission, scatter, merge,
-/// serialize — aggregate into per-stage histograms and emit one JSONL
-/// line. Untraced requests pay one branch per would-be span; tracing is
+/// obs::Trace whose spans — parse, cache, admission, search, serialize —
+/// aggregate into per-stage histograms and emit one JSONL line. Untraced requests pay one branch per would-be span; tracing is
 /// read-only on results (exact-mode bodies stay bit-identical).
 ///
 /// Hot reload is an RCU epoch swap: every request pins the current
@@ -221,7 +213,7 @@ class MatchService {
   util::obs::Counter* slow_queries_ = nullptr;
   util::obs::Histogram* latency_ = nullptr;
   /// Per-stage latency histograms, parallel to kStageNames.
-  static constexpr size_t kStages = 6;
+  static constexpr size_t kStages = 5;
   static const char* const kStageNames[kStages];
   util::obs::Histogram* stage_latency_[kStages] = {};
 

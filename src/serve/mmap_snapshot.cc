@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "util/byte_io.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -11,79 +12,61 @@ namespace serve {
 
 namespace {
 
-constexpr char kMagic[4] = {'T', 'D', 'M', 'S'};
-constexpr uint32_t kEndianMarker = 0x01020304u;
-constexpr size_t kHeaderBytes = 12;
-constexpr size_t kFooterBytes = 4;
-
-/// Bounds-checked sequential reader over the mapped body. Unlike the
-/// copying loader's cursor it never materializes bytes: strings come back
-/// as views into the mapping.
-class ViewCursor {
- public:
-  ViewCursor(const char* data, size_t size) : data_(data), size_(size) {}
-
-  util::Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  util::Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-
-  util::Status ReadStringView(std::string_view* s) {
-    uint32_t len = 0;
-    TDM_RETURN_NOT_OK(ReadU32(&len));
-    if (len > Remaining()) {
-      return util::Status::IOError(util::StrFormat(
-          "snapshot truncated: string of %u bytes with %zu bytes left", len,
-          Remaining()));
-    }
-    *s = std::string_view(data_ + pos_, len);
-    pos_ += len;
-    return util::Status::OK();
+/// Validates a declared (dim, vector count) geometry against the bytes
+/// actually available, in overflow-checked 64-bit arithmetic: a hostile
+/// header — absurd counts, dims beyond int range, payload sizes that would
+/// wrap 32-bit math — is rejected before any allocation or pointer
+/// arithmetic uses it.
+util::Status ValidateGeometry(const std::string& path, uint32_t dim,
+                              uint64_t count, size_t remaining) {
+  if (dim == 0 && count > 0) {
+    return util::Status::InvalidArgument(path + ": zero dim with vectors");
   }
-
-  /// `bytes` raw bytes as a view into the mapping.
-  util::Status ReadView(size_t bytes, std::string_view* s) {
-    TDM_RETURN_NOT_OK(Skip(bytes));
-    *s = std::string_view(data_ + pos_ - bytes, bytes);
-    return util::Status::OK();
+  if (dim > static_cast<uint32_t>(INT32_MAX)) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s: declared dim %u exceeds the supported maximum", path.c_str(),
+        dim));
   }
-
-  util::Status Skip(size_t bytes) {
-    if (bytes > Remaining()) {
-      return util::Status::IOError(util::StrFormat(
-          "snapshot truncated: need %zu bytes, %zu left", bytes,
-          Remaining()));
-    }
-    pos_ += bytes;
-    return util::Status::OK();
+  // A hostile header can declare a geometry whose payload byte count
+  // rows * dim * sizeof(float) wraps narrower arithmetic (already at
+  // rows * dim >= 2^30 for 32-bit math). Do the multiplication once in
+  // overflow-checked 64-bit math and reject explicitly, so no later size
+  // computation — allocation, cursor advance, span construction — ever
+  // sees a wrapped value.
+  const uint64_t row_bytes = static_cast<uint64_t>(dim) * sizeof(float);
+  if (row_bytes > 0 && count > UINT64_MAX / row_bytes) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s: payload size of %llu vectors x %u dims overflows 64-bit byte "
+        "arithmetic",
+        path.c_str(), static_cast<unsigned long long>(count), dim));
   }
-
-  size_t Remaining() const { return size_ - pos_; }
-  size_t pos() const { return pos_; }
-
- private:
-  util::Status ReadRaw(void* out, size_t bytes) {
-    TDM_RETURN_NOT_OK(Skip(bytes));
-    std::memcpy(out, data_ + pos_ - bytes, bytes);
-    return util::Status::OK();
+  // A valid CRC proves the bytes are intact, not that the writer was
+  // SnapshotIo — validate declared counts against the bytes actually
+  // present before sizing any allocation from them (every entry needs at
+  // least a 4-byte label length plus its dim floats).
+  const uint64_t min_entry_bytes = sizeof(uint32_t) + row_bytes;
+  if (count > remaining / min_entry_bytes) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%s: declared %llu vectors cannot fit in %zu remaining bytes",
+        path.c_str(), static_cast<unsigned long long>(count), remaining));
   }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+  return util::Status::OK();
+}
 
 }  // namespace
 
 util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
-    const std::string& path, bool verify_crc) {
+    const std::string& path) {
   TDM_ASSIGN_OR_RETURN(util::MmapFile file, util::MmapFile::Open(path));
-  if (file.size() < kHeaderBytes + kFooterBytes) {
+  if (file.size() < SnapshotIo::kHeaderBytes + SnapshotIo::kFooterBytes) {
     return util::Status::IOError(util::StrFormat(
         "%s: not a snapshot (%zu bytes, smaller than header + CRC)",
         path.c_str(), file.size()));
   }
   const char* data = file.data();
 
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(data, SnapshotIo::kMagic, sizeof(SnapshotIo::kMagic)) !=
+      0) {
     return util::Status::InvalidArgument(
         path + ": bad magic (not a TDmatch snapshot)");
   }
@@ -91,11 +74,11 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
   uint32_t endian = 0;
   std::memcpy(&version, data + 4, sizeof(version));
   std::memcpy(&endian, data + 8, sizeof(endian));
-  if (endian != kEndianMarker) {
+  if (endian != SnapshotIo::kEndianMarker) {
     return util::Status::InvalidArgument(util::StrFormat(
         "%s: endianness marker 0x%08x != 0x%08x — snapshot was written on a "
         "machine with different byte order",
-        path.c_str(), endian, kEndianMarker));
+        path.c_str(), endian, SnapshotIo::kEndianMarker));
   }
   if (version != SnapshotIo::kVersion &&
       version != SnapshotIo::kVersionSections) {
@@ -104,28 +87,26 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
         version, SnapshotIo::kVersion, SnapshotIo::kVersionSections));
   }
 
-  const char* body = data + kHeaderBytes;
-  const size_t body_size = file.size() - kHeaderBytes - kFooterBytes;
+  const char* body = data + SnapshotIo::kHeaderBytes;
+  const size_t body_size =
+      file.size() - SnapshotIo::kHeaderBytes - SnapshotIo::kFooterBytes;
   uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data + file.size() - kFooterBytes,
+  std::memcpy(&stored_crc, data + file.size() - SnapshotIo::kFooterBytes,
               sizeof(stored_crc));
-  if (verify_crc) {
-    const uint32_t actual_crc = util::Crc32(body, body_size);
-    if (stored_crc != actual_crc) {
-      return util::Status::IOError(util::StrFormat(
-          "%s: CRC mismatch (stored 0x%08x, computed 0x%08x) — snapshot is "
-          "corrupted or truncated",
-          path.c_str(), stored_crc, actual_crc));
-    }
+  const uint32_t actual_crc = util::Crc32(body, body_size);
+  if (stored_crc != actual_crc) {
+    return util::Status::IOError(util::StrFormat(
+        "%s: CRC mismatch (stored 0x%08x, computed 0x%08x) — snapshot is "
+        "corrupted or truncated",
+        path.c_str(), stored_crc, actual_crc));
   }
 
-  ViewCursor cur(body, body_size);
+  util::ByteCursor cur(body, body_size);
   uint32_t dim = 0;
   uint64_t count = 0;
   TDM_RETURN_NOT_OK(cur.ReadU32(&dim));
   TDM_RETURN_NOT_OK(cur.ReadU64(&count));
-  TDM_RETURN_NOT_OK(ValidateSnapshotGeometry(path, dim, count,
-                                             cur.Remaining()));
+  TDM_RETURN_NOT_OK(ValidateGeometry(path, dim, count, cur.Remaining()));
   if (count > UINT32_MAX) {
     return util::Status::InvalidArgument(util::StrFormat(
         "%s: %llu vectors exceed the label index capacity", path.c_str(),
@@ -174,10 +155,12 @@ util::Result<std::shared_ptr<const SnapshotView>> SnapshotView::Open(
         path.c_str(), static_cast<unsigned long long>(payload_bytes),
         cur.Remaining()));
   }
-  view->payload_ = body + cur.pos();
+  std::string_view payload;
+  TDM_RETURN_NOT_OK(
+      cur.ReadView(static_cast<size_t>(payload_bytes), &payload));
+  view->payload_ = payload.data();
   view->aligned_ =
       reinterpret_cast<uintptr_t>(view->payload_) % alignof(float) == 0;
-  TDM_RETURN_NOT_OK(cur.Skip(static_cast<size_t>(payload_bytes)));
 
   if (version >= SnapshotIo::kVersionSections) {
     uint32_t num_sections = 0;

@@ -18,13 +18,14 @@ namespace serve {
 
 /// \brief Zero-copy view over a memory-mapped snapshot file.
 ///
-/// Reads the exact on-disk format SnapshotIo writes, but in place: Open
-/// mmaps the file, validates the header, geometry, and trailing CRC-32
-/// (same rejection matrix as the copying loader — bad magic, version skew,
-/// foreign endianness, truncation, corruption, hostile declared counts,
-/// payload sizes that overflow narrow arithmetic), indexes the labels as
-/// string_views into the mapping, and exposes the f32 payload without
-/// copying a single vector. Load cost is the CRC scan plus the label
+/// The one parser of the on-disk format SnapshotIo writes, reading it in
+/// place: Open mmaps the file, validates the header, geometry, and
+/// trailing CRC-32 (rejecting bad magic, version skew, foreign endianness,
+/// truncation, corruption, hostile declared counts, payload sizes that
+/// overflow narrow arithmetic, and duplicate labels), indexes the labels
+/// as string_views into the mapping, and exposes the f32 payload without
+/// copying a single vector. SnapshotIo::Read is Open plus a copy into an
+/// owned Snapshot. Load cost is the CRC scan plus the label
 /// index; the payload itself is demand-paged, and several QueryEngines
 /// can share one mapping through the shared_ptr returned by Open.
 ///
@@ -35,11 +36,9 @@ namespace serve {
 /// in-flight query drops its reference).
 class SnapshotView {
  public:
-  /// Maps and validates `path`. `verify_crc` can be turned off to skip
-  /// the whole-file CRC scan when the caller has already verified the
-  /// artifact (load becomes O(labels) instead of O(bytes)).
+  /// Maps and validates `path`.
   static util::Result<std::shared_ptr<const SnapshotView>> Open(
-      const std::string& path, bool verify_crc = true);
+      const std::string& path);
 
   const SnapshotMeta& meta() const { return meta_; }
   int dim() const { return static_cast<int>(dim_); }

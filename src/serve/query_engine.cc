@@ -27,43 +27,6 @@ std::string QueryEngine::SerializeIvfSection() const {
   return ivf_->Serialize(candidate_labels_crc());
 }
 
-util::Result<QueryEngine> QueryEngine::Build(
-    Snapshot snapshot, std::vector<std::string> candidates,
-    QueryEngineOptions options) {
-  if (candidates.empty()) {
-    return util::Status::InvalidArgument("candidate set is empty");
-  }
-  QueryEngine engine;
-  std::vector<const std::vector<float>*> rows;
-  rows.reserve(candidates.size());
-  engine.candidate_index_.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::vector<float>* vec = snapshot.table.Get(candidates[i]);
-    if (vec == nullptr) {
-      return util::Status::NotFound(
-          util::StrFormat("candidate '%s' has no vector in snapshot '%s'",
-                          candidates[i].c_str(),
-                          snapshot.meta.scenario.c_str()));
-    }
-    const bool inserted =
-        engine.candidate_index_
-            .emplace(candidates[i], static_cast<int32_t>(i))
-            .second;
-    if (!inserted) {
-      return util::Status::InvalidArgument("duplicate candidate label: " +
-                                           candidates[i]);
-    }
-    rows.push_back(vec);
-  }
-
-  engine.matrix_ = std::make_shared<VectorMatrix>(
-      VectorMatrix::FromRows(rows, snapshot.table.dim()));
-  engine.snapshot_ = std::move(snapshot);
-  engine.candidate_labels_ = std::move(candidates);
-  TDM_RETURN_NOT_OK(engine.FinishBuild(options));
-  return engine;
-}
-
 util::Result<QueryEngine> QueryEngine::BuildFromView(
     std::shared_ptr<const SnapshotView> view, const std::string& prefix,
     QueryEngineOptions options) {
@@ -93,44 +56,6 @@ util::Result<QueryEngine> QueryEngine::BuildFromView(
   engine.snapshot_.meta = view->meta();
   engine.snapshot_.table = embed::EmbeddingTable(view->dim());
   engine.view_ = std::move(view);
-  TDM_RETURN_NOT_OK(engine.FinishBuild(options));
-  return engine;
-}
-
-util::Result<QueryEngine> QueryEngine::BuildOverMatrix(
-    std::shared_ptr<const VectorMatrix> matrix,
-    std::vector<std::string> candidate_labels, SnapshotMeta meta,
-    QueryEngineOptions options) {
-  if (matrix == nullptr) {
-    return util::Status::InvalidArgument("candidate matrix is null");
-  }
-  if (candidate_labels.empty()) {
-    return util::Status::InvalidArgument("candidate set is empty");
-  }
-  if (candidate_labels.size() != matrix->size()) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "matrix has %zu rows for %zu candidate labels", matrix->size(),
-        candidate_labels.size()));
-  }
-  QueryEngine engine;
-  engine.candidate_index_.reserve(candidate_labels.size());
-  for (size_t i = 0; i < candidate_labels.size(); ++i) {
-    const bool inserted =
-        engine.candidate_index_
-            .emplace(candidate_labels[i], static_cast<int32_t>(i))
-            .second;
-    if (!inserted) {
-      return util::Status::InvalidArgument("duplicate candidate label: " +
-                                           candidate_labels[i]);
-    }
-  }
-  engine.matrix_ = std::move(matrix);
-  engine.candidate_labels_ = std::move(candidate_labels);
-  engine.snapshot_.meta = std::move(meta);
-  engine.snapshot_.table = embed::EmbeddingTable(engine.matrix_->dim());
-  // A snapshot "ivfpq" section fingerprints the full candidate set; a
-  // matrix built over a partition can never match it.
-  options.use_snapshot_index = false;
   TDM_RETURN_NOT_OK(engine.FinishBuild(options));
   return engine;
 }
@@ -178,18 +103,25 @@ util::Status QueryEngine::FinishBuild(QueryEngineOptions options) {
 util::Result<QueryEngine> QueryEngine::BuildForPrefix(
     Snapshot snapshot, const std::string& prefix,
     QueryEngineOptions options) {
-  std::vector<std::string> candidates;
+  QueryEngine engine;
+  std::vector<const std::vector<float>*> rows;
   for (auto& label : snapshot.table.Labels()) {
-    if (util::StartsWith(label, prefix)) {
-      candidates.push_back(std::move(label));
-    }
+    if (!util::StartsWith(label, prefix)) continue;
+    engine.candidate_index_.emplace(label,
+                                    static_cast<int32_t>(rows.size()));
+    rows.push_back(snapshot.table.Get(label));
+    engine.candidate_labels_.push_back(std::move(label));
   }
-  if (candidates.empty()) {
+  if (rows.empty()) {
     return util::Status::NotFound(util::StrFormat(
         "snapshot '%s' has no labels with candidate prefix '%s'",
         snapshot.meta.scenario.c_str(), prefix.c_str()));
   }
-  return Build(std::move(snapshot), std::move(candidates), options);
+  engine.matrix_ = std::make_shared<VectorMatrix>(
+      VectorMatrix::FromRows(rows, snapshot.table.dim()));
+  engine.snapshot_ = std::move(snapshot);
+  TDM_RETURN_NOT_OK(engine.FinishBuild(options));
+  return engine;
 }
 
 const Index& QueryEngine::IndexFor(SearchMode mode) const {
@@ -211,10 +143,10 @@ std::vector<ScoredMatch> QueryEngine::ToScored(
 util::Result<std::vector<ScoredMatch>> QueryEngine::QueryVector(
     const std::vector<float>& vec, size_t k, SearchMode mode,
     size_t nprobe) const {
-  if (vec.size() != static_cast<size_t>(snapshot_.table.dim())) {
+  if (vec.size() != static_cast<size_t>(dim())) {
     return util::Status::InvalidArgument(
         util::StrFormat("query vector has dim %zu, snapshot dim is %d",
-                        vec.size(), snapshot_.table.dim()));
+                        vec.size(), dim()));
   }
   if (k == 0) k = options_.default_k;
   return SearchNormalized(IndexFor(mode), vec.data(), k, nullptr, nprobe);
@@ -288,20 +220,6 @@ util::Result<std::vector<ScoredMatch>> QueryEngine::QueryFiltered(
   // for) could be missed entirely — and a blocked scan is O(|block|)
   // cheap anyway.
   return SearchNormalized(*exact_, vec, k, &mask);
-}
-
-util::Result<std::vector<ScoredMatch>> QueryEngine::QueryVectorFiltered(
-    const std::vector<float>& vec, const std::vector<std::string>& allowed,
-    size_t k) const {
-  if (vec.size() != static_cast<size_t>(snapshot_.table.dim())) {
-    return util::Status::InvalidArgument(
-        util::StrFormat("query vector has dim %zu, snapshot dim is %d",
-                        vec.size(), snapshot_.table.dim()));
-  }
-  std::vector<char> mask;
-  if (BuildMask(allowed, &mask) == 0) return std::vector<ScoredMatch>{};
-  if (k == 0) k = options_.default_k;
-  return SearchNormalized(*exact_, vec.data(), k, &mask);
 }
 
 std::vector<util::Result<std::vector<ScoredMatch>>> QueryEngine::QueryBatch(

@@ -66,15 +66,10 @@ struct ScoredMatch {
 /// its own completion.
 class QueryEngine {
  public:
-  /// Builds the engine over an explicit candidate subset. Labels missing
-  /// from the snapshot table or duplicated are an error.
-  static util::Result<QueryEngine> Build(Snapshot snapshot,
-                                         std::vector<std::string> candidates,
-                                         QueryEngineOptions options = {});
-
-  /// Convenience: candidates are all snapshot labels starting with
-  /// `prefix`, in snapshot order (the serving convention stores the
-  /// candidate prefix in the snapshot metadata under "candidate_prefix").
+  /// Builds over a loaded Snapshot: candidates are all snapshot labels
+  /// starting with `prefix`, in snapshot order (the serving convention
+  /// stores the candidate prefix in the snapshot metadata under
+  /// "candidate_prefix"). NotFound when no label has the prefix.
   static util::Result<QueryEngine> BuildForPrefix(
       Snapshot snapshot, const std::string& prefix,
       QueryEngineOptions options = {});
@@ -83,23 +78,12 @@ class QueryEngine {
   /// Snapshot: candidate vectors are gathered straight from the mapped f32
   /// payload into the (normalizing) index matrix, label lookups resolve
   /// against the mapping, and no EmbeddingTable copy of the payload is
-  /// ever materialized — the mmap serving path. The engine shares
-  /// ownership of the view; several engines can serve one mapping.
-  /// Results are bit-identical to the copying Build over the same file.
+  /// ever materialized — the serving path. The engine shares ownership of
+  /// the view; several engines can serve one mapping. Results are
+  /// bit-identical to BuildForPrefix over SnapshotIo::Read of the same
+  /// file.
   static util::Result<QueryEngine> BuildFromView(
       std::shared_ptr<const SnapshotView> view, const std::string& prefix,
-      QueryEngineOptions options = {});
-
-  /// Builds directly over an already-gathered (normalized) candidate
-  /// matrix and its labels — the shard-engine path: ShardedQueryEngine
-  /// partitions one snapshot's candidate set and hands each shard its
-  /// slice. The engine owns no snapshot payload (label-addressed Query
-  /// only resolves candidate labels via QueryVector at the sharded layer);
-  /// snapshot "ivfpq" sections are not consulted (they fingerprint the
-  /// full candidate set, not a partition).
-  static util::Result<QueryEngine> BuildOverMatrix(
-      std::shared_ptr<const VectorMatrix> matrix,
-      std::vector<std::string> candidate_labels, SnapshotMeta meta,
       QueryEngineOptions options = {});
 
   /// Top-k for the embedding stored under `label` (k = 0 ⇒ default_k).
@@ -126,13 +110,6 @@ class QueryEngine {
       const std::string& label, const std::vector<std::string>& allowed,
       size_t k = 0) const;
 
-  /// QueryFiltered with a caller-provided vector instead of a stored
-  /// label — what a shard scatter uses (the sharded layer resolves the
-  /// label once, every shard filters its own slice). Always exact.
-  util::Result<std::vector<ScoredMatch>> QueryVectorFiltered(
-      const std::vector<float>& vec, const std::vector<std::string>& allowed,
-      size_t k = 0) const;
-
   /// Batch lookup: result i answers labels[i]. Per-query failures (unknown
   /// label) are per-slot errors, not a batch failure. Sharded across
   /// `options().threads` workers.
@@ -141,11 +118,10 @@ class QueryEngine {
       SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
 
   const SnapshotMeta& meta() const { return snapshot_.meta; }
+  int dim() const { return snapshot_.table.dim(); }
   /// The loaded embedding table. Empty (dim only) for view-backed engines,
-  /// whose vectors live in the mapping — see view().
+  /// whose vectors live in the mapping.
   const embed::EmbeddingTable& table() const { return snapshot_.table; }
-  /// Non-null when built via BuildFromView.
-  const std::shared_ptr<const SnapshotView>& view() const { return view_; }
   size_t num_candidates() const { return candidate_labels_.size(); }
   const std::vector<std::string>& candidate_labels() const {
     return candidate_labels_;
@@ -185,9 +161,8 @@ class QueryEngine {
   /// number of distinct candidates allowed.
   size_t BuildMask(const std::vector<std::string>& allowed,
                    std::vector<char>* mask) const;
-  /// Indexes candidate_index_/candidate_labels_, builds the exact/IVF
-  /// indexes over matrix_ and the batch pool — the tail shared by every
-  /// Build flavor.
+  /// Builds the exact/IVF indexes over matrix_ and the batch pool — the
+  /// tail shared by BuildForPrefix and BuildFromView.
   util::Status FinishBuild(QueryEngineOptions options);
   /// The embedding stored under `label`: a pointer into the table or the
   /// mapped view (copy-free on both hot paths; `scratch` is only written

@@ -1,12 +1,32 @@
 #include "serve/result_cache.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
-
-#include "serve/sharder.h"
 
 namespace tdmatch {
 namespace serve {
+
+namespace {
+
+/// FNV-1a 64-bit over the bytes, finished with a splitmix64 avalanche so
+/// keys that differ only in a short suffix ("q1|k=5", "q2|k=5") still
+/// spread across stripes.
+uint64_t Hash64(std::string_view bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h;
+}
+
+}  // namespace
 
 ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
   if (!enabled()) return;
@@ -22,7 +42,7 @@ ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
 }
 
 ResultCache::Stripe& ResultCache::StripeFor(const std::string& key) {
-  return *stripes_[Sharder::Hash64(key) % stripes_.size()];
+  return *stripes_[Hash64(key) % stripes_.size()];
 }
 
 bool ResultCache::Get(const std::string& key, uint64_t version,

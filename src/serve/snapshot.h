@@ -19,7 +19,7 @@ namespace serve {
 /// The offline pipeline trains once and writes a snapshot; any number of
 /// serving processes load it and answer queries without re-training. The
 /// text format (embed::EmbeddingIo) stays for interop and debugging;
-/// snapshots are what production loads: single contiguous read, bit-exact
+/// snapshots are what production loads: memory-mapped in place, bit-exact
 /// float round-trip, and integrity checking.
 ///
 /// File layout (all integers little-or-big endian as written; the marker
@@ -39,10 +39,12 @@ namespace serve {
 ///              (u32 length + bytes), u64 byte length, and the bytes
 ///   [N..N+4) u32 CRC-32 of the body
 ///
-/// Strings are u32 length + raw bytes. Readers parse from one in-memory
-/// buffer with bounds-checked cursor reads; any overrun, bad magic, version
-/// skew, foreign endianness, trailing garbage, or CRC mismatch is a
-/// descriptive error — never a partially-loaded model.
+/// Strings are u32 length + raw bytes. The format has exactly one parser,
+/// SnapshotView::Open (serve/mmap_snapshot.h): it parses the mapped bytes
+/// with bounds-checked cursor reads, and any overrun, bad magic, version
+/// skew, foreign endianness, hostile declared count, duplicate label,
+/// trailing garbage, or CRC mismatch is a descriptive error — never a
+/// partially-loaded model. SnapshotIo::Read copies out of that view.
 ///
 /// Sections are opaque named blobs riding after the payload — the hook for
 /// derived serving artifacts (the serialized IVF/PQ index uses tag
@@ -77,20 +79,19 @@ struct Snapshot {
   const std::string* Section(const std::string& tag) const;
 };
 
-/// Validates a declared (dim, vector count) geometry against the bytes
-/// actually available, in overflow-checked 64-bit arithmetic. Shared by
-/// the copying loader (SnapshotIo::Read) and the mmap view
-/// (SnapshotView::Open): both must reject hostile headers — absurd counts,
-/// dims beyond int range, payload sizes that would wrap 32-bit math —
-/// before any allocation or pointer arithmetic uses them.
-util::Status ValidateSnapshotGeometry(const std::string& path, uint32_t dim,
-                                      uint64_t count, size_t remaining);
-
 class SnapshotIo {
  public:
   static constexpr uint32_t kVersion = 1;
   /// Written instead of kVersion when the snapshot carries sections.
   static constexpr uint32_t kVersionSections = 2;
+
+  /// File framing, shared by Write and the one reader (SnapshotView::Open).
+  static constexpr char kMagic[4] = {'T', 'D', 'M', 'S'};
+  static constexpr uint32_t kEndianMarker = 0x01020304u;
+  /// magic + version + endian marker.
+  static constexpr size_t kHeaderBytes = 12;
+  /// trailing CRC-32 of the body.
+  static constexpr size_t kFooterBytes = 4;
 
   /// Reserved metadata key. Write appends a 0–3 byte "_pad" pair sized so
   /// the f32 payload starts 4-byte aligned in the file (and therefore in
@@ -113,8 +114,9 @@ class SnapshotIo {
       const std::vector<std::pair<std::string, std::string>>& sections,
       const std::string& path);
 
-  /// Loads a snapshot written by Write. Rejects corrupted, truncated,
-  /// foreign-endian, and version-skewed files.
+  /// Loads a snapshot written by Write into owned memory: opens it as a
+  /// SnapshotView (so every rejection of that parser applies) and copies
+  /// the rows, metadata and sections out of the mapping.
   static util::Result<Snapshot> Read(const std::string& path);
 
   /// Conversion paths between the text format (embed::EmbeddingIo) and the

@@ -24,26 +24,32 @@ Status AppendLengthPrefixed(std::string* out, std::string_view s) {
   return Status::OK();
 }
 
-Status ByteCursor::ReadString(std::string* s) {
+Status ByteCursor::ReadStringView(std::string_view* s) {
   uint32_t len = 0;
   TDM_RETURN_NOT_OK(ReadU32(&len));
-  if (len > Remaining()) {
-    return Status::IOError(
-        StrFormat("truncated: string of %u bytes with %zu bytes left", len,
-                  Remaining()));
-  }
-  s->assign(data_ + pos_, len);
-  pos_ += len;
+  return ReadView(len, s);
+}
+
+Status ByteCursor::ReadView(size_t bytes, std::string_view* s) {
+  const size_t start = pos_;
+  TDM_RETURN_NOT_OK(Skip(bytes));
+  *s = std::string_view(data_ + start, bytes);
   return Status::OK();
 }
 
-Status ByteCursor::ReadRaw(void* out, size_t bytes) {
+Status ByteCursor::Skip(size_t bytes) {
   if (bytes > Remaining()) {
     return Status::IOError(StrFormat(
         "truncated: need %zu bytes, %zu left", bytes, Remaining()));
   }
-  std::memcpy(out, data_ + pos_, bytes);
   pos_ += bytes;
+  return Status::OK();
+}
+
+Status ByteCursor::ReadRaw(void* out, size_t bytes) {
+  const size_t start = pos_;
+  TDM_RETURN_NOT_OK(Skip(bytes));
+  std::memcpy(out, data_ + start, bytes);
   return Status::OK();
 }
 

@@ -11,8 +11,9 @@ namespace tdmatch {
 namespace util {
 
 /// \brief Little helpers for the length-prefixed binary wire format shared
-/// by the snapshot writer (serve/snapshot.cc) and the serialized index
-/// sections (serve/ivf_index.cc): fixed-width integers appended raw in
+/// by the snapshot writer and reader (serve/snapshot.cc,
+/// serve/mmap_snapshot.cc) and the serialized index sections
+/// (serve/ivf_index.cc): fixed-width integers appended raw in
 /// host byte order (the snapshot header's endianness marker detects
 /// foreign files), strings as u32 length + bytes.
 void AppendU32(std::string* out, uint32_t v);
@@ -35,8 +36,12 @@ class ByteCursor {
   Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
   Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
 
-  /// Reads a u32 length prefix + that many bytes into `s`.
-  Status ReadString(std::string* s);
+  /// Reads a u32 length prefix + that many bytes, as a view into the
+  /// underlying buffer (no copy).
+  Status ReadStringView(std::string_view* s);
+
+  /// The next `bytes` raw bytes as a view into the underlying buffer.
+  Status ReadView(size_t bytes, std::string_view* s);
 
   /// Reads `count` raw IEEE-754 f32 values.
   Status ReadFloats(float* out, size_t count) {
@@ -49,6 +54,8 @@ class ByteCursor {
   size_t Remaining() const { return size_ - pos_; }
 
  private:
+  /// Advances past `bytes` bytes, failing instead of running off the end.
+  Status Skip(size_t bytes);
   Status ReadRaw(void* out, size_t bytes);
 
   const char* data_;

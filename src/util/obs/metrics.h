@@ -118,7 +118,7 @@ enum class MetricType { kCounter, kGauge, kHistogram };
 /// for the registry's lifetime, so hot paths resolve once and never take
 /// the registry lock again) and *callback* samples (a function evaluated
 /// at render time, for components that already keep their own counters —
-/// admission, cache, tuner, shards). Exposition output is deterministic:
+/// admission, cache, tuner). Exposition output is deterministic:
 /// families sorted by name, children by serialized label set.
 ///
 /// Use Registry::Global() for process-wide metrics; tests construct their

@@ -58,8 +58,8 @@ class Trace {
     size_t index_;
   };
 
-  /// Records an externally measured span (e.g. scatter/merge timings
-  /// handed out by the sharded engine) at the current depth.
+  /// Records a span measured outside the trace (e.g. a duration a callee
+  /// reports) at the current depth.
   void AddSpan(const char* name, double ms) {
     spans_.push_back(SpanRecord{name, watch_.ElapsedMillis() - ms, ms,
                                 depth_});

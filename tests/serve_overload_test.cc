@@ -1,13 +1,9 @@
-// Tests for the scatter-gather serving stack: the consistent-hash
-// Sharder, exact-mode bit-identity of ShardedQueryEngine across shard
-// counts, the AdmissionController + NprobeTuner front-door knobs, the
-// striped LRU ResultCache, and the MatchService overload/caching behavior
-// over HTTP.
+// Tests for the serving front door: the AdmissionController + NprobeTuner
+// knobs, the striped LRU ResultCache, and the MatchService overload and
+// caching behavior over HTTP.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,11 +14,7 @@
 #include "serve/http/client.h"
 #include "serve/http/server.h"
 #include "serve/http/service.h"
-#include "serve/mmap_snapshot.h"
-#include "serve/query_engine.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_engine.h"
-#include "serve/sharder.h"
 #include "serve/snapshot.h"
 #include "util/json.h"
 
@@ -33,16 +25,8 @@ using serve::AdmissionController;
 using serve::AdmissionOptions;
 using serve::NprobeTuner;
 using serve::NprobeTunerOptions;
-using serve::QueryEngine;
-using serve::QueryEngineOptions;
 using serve::ResultCache;
 using serve::ResultCacheOptions;
-using serve::ScoredMatch;
-using serve::SearchMode;
-using serve::Sharder;
-using serve::SharderOptions;
-using serve::ShardedEngineOptions;
-using serve::ShardedQueryEngine;
 using serve::http::HttpClient;
 using serve::http::HttpServer;
 using serve::http::MatchService;
@@ -50,337 +34,6 @@ using serve::http::ServiceOptions;
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
-}
-
-// ---------------------------------------------------------------------------
-// Sharder
-// ---------------------------------------------------------------------------
-
-std::vector<std::string> DocLabels(size_t n) {
-  std::vector<std::string> labels;
-  labels.reserve(n);
-  for (size_t i = 0; i < n; ++i) labels.push_back("doc" + std::to_string(i));
-  return labels;
-}
-
-TEST(SharderTest, AssignmentIsDeterministicAndInRange) {
-  const Sharder a(4);
-  const Sharder b(4);  // independently built ring, same parameters
-  for (const std::string& label : DocLabels(512)) {
-    const size_t shard = a.ShardFor(label);
-    EXPECT_LT(shard, 4u);
-    EXPECT_EQ(shard, a.ShardFor(label));  // stable across calls
-    EXPECT_EQ(shard, b.ShardFor(label));  // pure function of the inputs
-  }
-}
-
-TEST(SharderTest, SingleShardOwnsEverything) {
-  const Sharder one(1);
-  for (const std::string& label : DocLabels(64)) {
-    EXPECT_EQ(one.ShardFor(label), 0u);
-  }
-}
-
-TEST(SharderTest, AssignmentIsRoughlyBalanced) {
-  const size_t kShards = 4, kLabels = 4096;
-  const Sharder sharder(kShards);
-  std::vector<size_t> counts(kShards, 0);
-  for (const std::string& label : DocLabels(kLabels)) {
-    ++counts[sharder.ShardFor(label)];
-  }
-  const size_t mean = kLabels / kShards;
-  for (size_t s = 0; s < kShards; ++s) {
-    EXPECT_GT(counts[s], mean / 2) << "shard " << s << " starved";
-    EXPECT_LT(counts[s], mean * 2) << "shard " << s << " overloaded";
-  }
-}
-
-TEST(SharderTest, SeedSaltsTheRing) {
-  SharderOptions salted;
-  salted.seed = 987654321;
-  const Sharder a(4);
-  const Sharder b(4, salted);
-  size_t moved = 0;
-  for (const std::string& label : DocLabels(256)) {
-    moved += a.ShardFor(label) != b.ShardFor(label) ? 1 : 0;
-  }
-  EXPECT_GT(moved, 0u);  // the salt must actually reach the ring hashes
-}
-
-TEST(SharderTest, GrowingTheRingMovesFewLabels) {
-  // The consistent-hashing point: N -> N+1 shards relocates ~1/(N+1) of
-  // the labels, not ~N/(N+1) like `hash % N` would.
-  const Sharder four(4);
-  const Sharder five(5);
-  size_t moved = 0;
-  const size_t total = 4096;
-  for (const std::string& label : DocLabels(total)) {
-    moved += four.ShardFor(label) != five.ShardFor(label) ? 1 : 0;
-  }
-  // Theoretical fraction is 0.2; anything under 0.45 proves we are not in
-  // modulo-rehash territory (~0.8) while leaving variance headroom.
-  EXPECT_LT(static_cast<double>(moved) / static_cast<double>(total), 0.45);
-  EXPECT_GT(moved, 0u);
-}
-
-TEST(SharderTest, Hash64AvalanchesNeighboringLabels) {
-  // Stable, seed-sensitive, and adjacent labels land far apart.
-  EXPECT_EQ(Sharder::Hash64("doc1"), Sharder::Hash64("doc1"));
-  EXPECT_NE(Sharder::Hash64("doc1"), Sharder::Hash64("doc2"));
-  EXPECT_NE(Sharder::Hash64("doc1"), Sharder::Hash64("doc1", 7));
-  EXPECT_NE(Sharder::Hash64(""), 0u);
-  // The high bits must move too (a ring keyed on a 64-bit position needs
-  // entropy at the top, not just the low byte).
-  EXPECT_NE(Sharder::Hash64("doc1") >> 32, Sharder::Hash64("doc2") >> 32);
-}
-
-// ---------------------------------------------------------------------------
-// ShardedQueryEngine: exact-mode bit-identity vs the unsharded engine
-// ---------------------------------------------------------------------------
-
-/// 2-d geometry: candidates c<i> fan around the circle, queries q<i> sit
-/// exactly on candidate (i + shift) mod n.
-serve::Snapshot GeometricSnapshot(size_t n, size_t shift = 0) {
-  serve::Snapshot snap;
-  snap.meta.scenario = "shard-geometry";
-  snap.meta.Set("candidate_prefix", "c");
-  snap.meta.Set("query_prefix", "q");
-  snap.table = embed::EmbeddingTable(2);
-  for (size_t i = 0; i < n; ++i) {
-    const float angle =
-        static_cast<float>(i) / static_cast<float>(n) * 3.1f;
-    snap.table.Put("c" + std::to_string(i),
-                   {std::cos(angle), std::sin(angle)});
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const float angle = static_cast<float>((i + shift) % n) /
-                        static_cast<float>(n) * 3.1f;
-    snap.table.Put("q" + std::to_string(i),
-                   {std::cos(angle), std::sin(angle)});
-  }
-  return snap;
-}
-
-std::string WriteGeometricSnapshot(const std::string& name, size_t n,
-                                   size_t shift) {
-  const std::string path = TempPath(name);
-  serve::Snapshot snap = GeometricSnapshot(n, shift);
-  EXPECT_TRUE(serve::SnapshotIo::Write(snap.table, snap.meta, path).ok());
-  return path;
-}
-
-QueryEngineOptions TestEngineOptions() {
-  QueryEngineOptions opts;
-  opts.threads = 2;  // exercise the scatter pool
-  opts.ivf.seed = 4242;
-  return opts;
-}
-
-void ExpectSameMatches(const std::vector<ScoredMatch>& want,
-                       const std::vector<ScoredMatch>& got,
-                       const std::string& context) {
-  ASSERT_EQ(want.size(), got.size()) << context;
-  for (size_t r = 0; r < want.size(); ++r) {
-    EXPECT_EQ(want[r].label, got[r].label) << context << " row " << r;
-    EXPECT_EQ(want[r].candidate, got[r].candidate)
-        << context << " row " << r;
-    // Bitwise double equality — the whole point of the merge order.
-    EXPECT_EQ(want[r].score, got[r].score) << context << " row " << r;
-  }
-}
-
-TEST(ShardedEngineTest, ExactModeBitIdenticalAcrossShardCounts) {
-  const size_t n = 64;
-  auto reference = QueryEngine::BuildForPrefix(GeometricSnapshot(n), "c",
-                                               TestEngineOptions());
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    ShardedEngineOptions opts;
-    opts.shards = shards;
-    opts.engine = TestEngineOptions();
-    auto sharded =
-        ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    EXPECT_EQ(sharded->num_shards(), shards);
-    EXPECT_EQ(sharded->num_candidates(), n);
-    size_t partitioned = 0;
-    for (size_t s = 0; s < sharded->active_shards(); ++s) {
-      partitioned += sharded->shard_size(s);
-    }
-    EXPECT_EQ(partitioned, n);  // every candidate in exactly one shard
-
-    for (size_t i = 0; i < n; ++i) {
-      const std::string q = "q" + std::to_string(i);
-      for (size_t k : {size_t{1}, size_t{5}, n}) {
-        auto want = reference->Query(q, k, SearchMode::kExact);
-        auto got = sharded->Query(q, k, SearchMode::kExact);
-        ASSERT_TRUE(want.ok() && got.ok());
-        ExpectSameMatches(*want, *got,
-                          q + " k=" + std::to_string(k) + " shards=" +
-                              std::to_string(shards));
-      }
-    }
-  }
-}
-
-TEST(ShardedEngineTest, ViewPathBitIdenticalToCopyPath) {
-  const std::string path = WriteGeometricSnapshot("shard_view.tds", 48, 3);
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    ShardedEngineOptions opts;
-    opts.shards = shards;
-    opts.engine = TestEngineOptions();
-
-    auto snap = serve::SnapshotIo::Read(path);
-    ASSERT_TRUE(snap.ok());
-    auto copy = ShardedQueryEngine::Build(std::move(*snap), "c", opts);
-    ASSERT_TRUE(copy.ok()) << copy.status().ToString();
-
-    auto view = serve::SnapshotView::Open(path);
-    ASSERT_TRUE(view.ok());
-    auto mapped = ShardedQueryEngine::BuildFromView(*view, "c", opts);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
-    for (size_t i = 0; i < 48; ++i) {
-      const std::string q = "q" + std::to_string(i);
-      auto a = copy->Query(q, 6, SearchMode::kExact);
-      auto b = mapped->Query(q, 6, SearchMode::kExact);
-      ASSERT_TRUE(a.ok() && b.ok());
-      ExpectSameMatches(*a, *b,
-                        q + " shards=" + std::to_string(shards));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ShardedEngineTest, FilteredBatchAndVectorMatchUnsharded) {
-  const size_t n = 40;
-  auto reference = QueryEngine::BuildForPrefix(GeometricSnapshot(n), "c",
-                                               TestEngineOptions());
-  ASSERT_TRUE(reference.ok());
-  ShardedEngineOptions opts;
-  opts.shards = 4;
-  opts.engine = TestEngineOptions();
-  auto sharded =
-      ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-  ASSERT_TRUE(sharded.ok());
-
-  // Filtered: the allowed set straddles shards and contains an unknown.
-  const std::vector<std::string> allowed = {"c1", "c9", "c17", "c33",
-                                            "zz-missing"};
-  for (size_t i = 0; i < n; i += 7) {
-    const std::string q = "q" + std::to_string(i);
-    auto want = reference->QueryFiltered(q, allowed, 3);
-    auto got = sharded->QueryFiltered(q, allowed, 3);
-    ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameMatches(*want, *got, "filtered " + q);
-  }
-
-  // Raw vector, exact mode.
-  auto vwant =
-      reference->QueryVector({0.5f, 0.25f}, 4, SearchMode::kExact);
-  auto vgot = sharded->QueryVector({0.5f, 0.25f}, 4, SearchMode::kExact);
-  ASSERT_TRUE(vwant.ok() && vgot.ok());
-  ExpectSameMatches(*vwant, *vgot, "vector");
-
-  // Batch: slot-for-slot identity, including the error slot.
-  std::vector<std::string> labels;
-  for (size_t i = 0; i < n; ++i) labels.push_back("q" + std::to_string(i));
-  labels.push_back("missing-query");
-  auto want_batch = reference->QueryBatch(labels, 5, SearchMode::kExact);
-  auto got_batch = sharded->QueryBatch(labels, 5, SearchMode::kExact);
-  ASSERT_EQ(want_batch.size(), got_batch.size());
-  for (size_t i = 0; i < want_batch.size(); ++i) {
-    ASSERT_EQ(want_batch[i].ok(), got_batch[i].ok()) << "slot " << i;
-    if (!want_batch[i].ok()) {
-      EXPECT_EQ(want_batch[i].status().message(),
-                got_batch[i].status().message());
-      continue;
-    }
-    ExpectSameMatches(*want_batch[i], *got_batch[i],
-                      "batch slot " + std::to_string(i));
-  }
-}
-
-TEST(ShardedEngineTest, ErrorsMatchUnsharded) {
-  const size_t n = 16;
-  auto reference = QueryEngine::BuildForPrefix(GeometricSnapshot(n), "c",
-                                               TestEngineOptions());
-  ASSERT_TRUE(reference.ok());
-  ShardedEngineOptions opts;
-  opts.shards = 4;
-  opts.engine = TestEngineOptions();
-  auto sharded =
-      ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-  ASSERT_TRUE(sharded.ok());
-
-  auto want = reference->Query("nope", 5, SearchMode::kExact);
-  auto got = sharded->Query("nope", 5, SearchMode::kExact);
-  ASSERT_FALSE(want.ok());
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(want.status().message(), got.status().message());
-
-  auto vwant = reference->QueryVector({1.0f}, 3, SearchMode::kExact);
-  auto vgot = sharded->QueryVector({1.0f}, 3, SearchMode::kExact);
-  ASSERT_FALSE(vwant.ok());
-  ASSERT_FALSE(vgot.ok());
-  EXPECT_EQ(vwant.status().message(), vgot.status().message());
-}
-
-TEST(ShardedEngineTest, MoreShardsThanCandidatesCompactsEmptyOnes) {
-  const size_t n = 4;
-  auto reference = QueryEngine::BuildForPrefix(GeometricSnapshot(n), "c",
-                                               TestEngineOptions());
-  ASSERT_TRUE(reference.ok());
-  ShardedEngineOptions opts;
-  opts.shards = 8;
-  opts.engine = TestEngineOptions();
-  auto sharded =
-      ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->num_shards(), 8u);
-  EXPECT_LE(sharded->active_shards(), n);
-  EXPECT_GE(sharded->active_shards(), 1u);
-
-  for (size_t i = 0; i < n; ++i) {
-    const std::string q = "q" + std::to_string(i);
-    auto want = reference->Query(q, n, SearchMode::kExact);
-    auto got = sharded->Query(q, n, SearchMode::kExact);
-    ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameMatches(*want, *got, q);
-  }
-}
-
-TEST(ShardedEngineTest, ApproxIsDeterministicAndFullProbeRecoversExact) {
-  const size_t n = 64;
-  ShardedEngineOptions opts;
-  opts.shards = 4;
-  opts.engine = TestEngineOptions();
-  auto a = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-  auto b = ShardedQueryEngine::Build(GeometricSnapshot(n), "c", opts);
-  ASSERT_TRUE(a.ok() && b.ok());
-
-  for (size_t i = 0; i < n; ++i) {
-    const std::string q = "q" + std::to_string(i);
-    // Determinism: two engines built from the same inputs agree bitwise,
-    // approx mode included (per-shard k-means is seeded).
-    auto ra = a->Query(q, 5, SearchMode::kApprox);
-    auto rb = b->Query(q, 5, SearchMode::kApprox);
-    ASSERT_TRUE(ra.ok() && rb.ok());
-    ExpectSameMatches(*ra, *rb, "approx " + q);
-
-    // Probing every cell degenerates to a full scan: the top-1 must be
-    // the candidate the query sits on, exactly as in exact mode. (Approx
-    // results are NOT bit-identical across shard counts — per-shard
-    // k-means sees different slices — so the contract tested here is
-    // determinism + recall, not cross-N identity.)
-    const size_t full = a->max_nprobe();
-    auto probe_all = a->Query(q, 1, SearchMode::kApprox, full);
-    auto exact = a->Query(q, 1, SearchMode::kExact);
-    ASSERT_TRUE(probe_all.ok() && exact.ok());
-    ASSERT_EQ(probe_all->size(), 1u);
-    EXPECT_EQ((*probe_all)[0].label, (*exact)[0].label) << q;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +281,39 @@ TEST(ResultCacheTest, StripesNeverExceedCapacity) {
 }
 
 // ---------------------------------------------------------------------------
-// MatchService: sharded serving, shedding, cache-on-reload (over HTTP)
+// MatchService: shedding and cache-on-reload (over HTTP)
 // ---------------------------------------------------------------------------
+
+/// 2-d geometry: candidates c<i> fan around the circle, queries q<i> sit
+/// exactly on candidate (i + shift) mod n.
+serve::Snapshot GeometricSnapshot(size_t n, size_t shift = 0) {
+  serve::Snapshot snap;
+  snap.meta.scenario = "geometry";
+  snap.meta.Set("candidate_prefix", "c");
+  snap.meta.Set("query_prefix", "q");
+  snap.table = embed::EmbeddingTable(2);
+  for (size_t i = 0; i < n; ++i) {
+    const float angle =
+        static_cast<float>(i) / static_cast<float>(n) * 3.1f;
+    snap.table.Put("c" + std::to_string(i),
+                   {std::cos(angle), std::sin(angle)});
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const float angle = static_cast<float>((i + shift) % n) /
+                        static_cast<float>(n) * 3.1f;
+    snap.table.Put("q" + std::to_string(i),
+                   {std::cos(angle), std::sin(angle)});
+  }
+  return snap;
+}
+
+std::string WriteGeometricSnapshot(const std::string& name, size_t n,
+                                   size_t shift) {
+  const std::string path = TempPath(name);
+  serve::Snapshot snap = GeometricSnapshot(n, shift);
+  EXPECT_TRUE(serve::SnapshotIo::Write(snap.table, snap.meta, path).ok());
+  return path;
+}
 
 struct ServiceFixture {
   explicit ServiceFixture(const std::string& snapshot_path,
@@ -660,44 +344,7 @@ Matches ParseMatches(const util::JsonValue& container) {
   return out;
 }
 
-TEST(ShardedServiceTest, ShardedHttpResponsesMatchUnsharded) {
-  const std::string path = WriteGeometricSnapshot("svc_shards.tds", 32, 2);
-  ServiceOptions unsharded;
-  ServiceOptions sharded;
-  sharded.shards = 4;
-  ServiceFixture fx1(path, unsharded);
-  ServiceFixture fx4(path, sharded);
-
-  auto c1 = HttpClient::Connect("127.0.0.1", fx1.server.port());
-  auto c4 = HttpClient::Connect("127.0.0.1", fx4.server.port());
-  ASSERT_TRUE(c1.ok() && c4.ok());
-
-  for (size_t i = 0; i < 32; ++i) {
-    const std::string body = "{\"label\": \"q" + std::to_string(i) +
-                             "\", \"k\": 5, \"mode\": \"exact\"}";
-    auto r1 = c1->Post("/v1/query", body);
-    auto r4 = c4->Post("/v1/query", body);
-    ASSERT_TRUE(r1.ok() && r4.ok());
-    ASSERT_EQ(r1->status, 200) << r1->body;
-    ASSERT_EQ(r4->status, 200) << r4->body;
-    // The rendered bodies are byte-identical: same matches, same
-    // round-trippable score spellings, same snapshot_version. This is the invariant the
-    // CI sharded smoke diffs from outside the process.
-    EXPECT_EQ(r1->body, r4->body) << "q" << i;
-  }
-
-  auto stats = c4->Get("/v1/stats");
-  ASSERT_TRUE(stats.ok());
-  auto doc = util::JsonParse(stats->body);
-  ASSERT_TRUE(doc.ok()) << stats->body;
-  const util::JsonValue* shards = doc->Find("shards");
-  ASSERT_NE(shards, nullptr);
-  EXPECT_EQ(shards->Find("configured")->number_value(), 4.0);
-  EXPECT_GE(shards->Find("active")->number_value(), 1.0);
-  std::remove(path.c_str());
-}
-
-TEST(ShardedServiceTest, MaxInflightZeroShedsWith429AndRetryAfter) {
+TEST(OverloadServiceTest, MaxInflightZeroShedsWith429AndRetryAfter) {
   const std::string path = WriteGeometricSnapshot("svc_shed.tds", 8, 0);
   ServiceOptions sopts;
   sopts.max_inflight = 0;  // drain mode: every query is shed
@@ -742,7 +389,7 @@ TEST(ShardedServiceTest, MaxInflightZeroShedsWith429AndRetryAfter) {
   std::remove(path.c_str());
 }
 
-TEST(ShardedServiceTest, OverlappingQueriesShedPastTheLimit) {
+TEST(OverloadServiceTest, OverlappingQueriesShedPastTheLimit) {
   const std::string path = WriteGeometricSnapshot("svc_burst.tds", 8, 0);
   ServiceOptions sopts;
   sopts.max_inflight = 1;
@@ -782,7 +429,7 @@ TEST(ShardedServiceTest, OverlappingQueriesShedPastTheLimit) {
   std::remove(path.c_str());
 }
 
-TEST(ShardedServiceTest, CacheServesHitsAndInvalidatesOnReload) {
+TEST(OverloadServiceTest, CacheServesHitsAndInvalidatesOnReload) {
   // Two snapshots that disagree about every query's nearest neighbor: a
   // cached body surviving the reload would be visibly wrong.
   const std::string path_a = WriteGeometricSnapshot("svc_cache_a.tds", 12, 0);
@@ -846,10 +493,9 @@ TEST(ShardedServiceTest, CacheServesHitsAndInvalidatesOnReload) {
   std::remove(path_b.c_str());
 }
 
-TEST(ShardedServiceTest, StatsExposeTheNewSubsystems) {
+TEST(OverloadServiceTest, StatsExposeTheNewSubsystems) {
   const std::string path = WriteGeometricSnapshot("svc_stats.tds", 16, 0);
   ServiceOptions sopts;
-  sopts.shards = 2;
   sopts.max_inflight = 7;
   sopts.latency_budget_ms = 50.0;
   sopts.cache_entries = 4;
@@ -862,7 +508,6 @@ TEST(ShardedServiceTest, StatsExposeTheNewSubsystems) {
   auto doc = util::JsonParse(stats->body);
   ASSERT_TRUE(doc.ok()) << stats->body;
 
-  EXPECT_EQ(doc->Find("shards")->Find("configured")->number_value(), 2.0);
   EXPECT_EQ(doc->Find("admission")->Find("max_inflight")->number_value(),
             7.0);
   EXPECT_EQ(doc->Find("admission")->Find("shed")->number_value(), 0.0);

@@ -164,6 +164,31 @@ TEST(SnapshotTest, RejectsAbsurdDeclaredCountsEvenWithValidCrc) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotTest, RejectsDuplicateLabelEvenWithValidCrc) {
+  // Two labels of equal length; rewriting the second into the first keeps
+  // the geometry intact, and a recomputed CRC makes the file "valid".
+  const std::string path = TempPath("snap_duplicate.tds");
+  embed::EmbeddingTable table(2);
+  table.Put("dupA", {1.0f, 0.0f});
+  table.Put("dupB", {0.0f, 1.0f});
+  ASSERT_TRUE(serve::SnapshotIo::Write(table, DemoMeta(), path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const size_t at = bytes.find("dupB");
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 3] = 'A';
+  const uint32_t crc = util::Crc32(bytes.data() + 12, bytes.size() - 16);
+  std::memcpy(&bytes[bytes.size() - 4], &crc, sizeof(crc));
+  WriteFileBytes(path, bytes);
+
+  auto snap = serve::SnapshotIo::Read(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_TRUE(snap.status().IsInvalidArgument()) << snap.status().ToString();
+  EXPECT_NE(snap.status().message().find("duplicate label"),
+            std::string::npos)
+      << snap.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, ConvertsTextFormatBothWays) {
   const std::string text1 = TempPath("snap_conv1.txt");
   const std::string snap_path = TempPath("snap_conv.tds");
@@ -539,19 +564,47 @@ TEST(QueryEngineTest, FilteredQueryFindsAllowedOutsideProbedCells) {
   EXPECT_EQ((*top)[0].label, "c39");
 }
 
-TEST(QueryEngineTest, BuildRejectsBadCandidateSets) {
-  EXPECT_FALSE(
-      serve::QueryEngine::Build(GeometricSnapshot(4), {}).ok());
-  EXPECT_TRUE(serve::QueryEngine::Build(GeometricSnapshot(4),
-                                        {"c0", "missing"})
-                  .status()
-                  .IsNotFound());
-  EXPECT_TRUE(serve::QueryEngine::Build(GeometricSnapshot(4), {"c0", "c0"})
-                  .status()
-                  .IsInvalidArgument());
+TEST(QueryEngineTest, BuildRejectsAnEmptyCandidateSet) {
   EXPECT_TRUE(serve::QueryEngine::BuildForPrefix(GeometricSnapshot(4), "zz")
                   .status()
                   .IsNotFound());
+}
+
+TEST(QueryEngineTest, ReadAndViewEnginesAreBitIdentical) {
+  // BuildForPrefix over SnapshotIo::Read and BuildFromView over
+  // SnapshotView::Open of the same file: same labels, candidate ids and
+  // score bits in both search modes.
+  const std::string path = TempPath("engine_read_vs_view.tds");
+  const serve::Snapshot src = GeometricSnapshot(48);
+  ASSERT_TRUE(serve::SnapshotIo::Write(src.table, src.meta, path).ok());
+  serve::QueryEngineOptions opts;
+  opts.threads = 2;
+  opts.ivf.seed = 4242;
+  auto snap = serve::SnapshotIo::Read(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto read = serve::QueryEngine::BuildForPrefix(std::move(*snap), "c", opts);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  auto view = serve::SnapshotView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto mapped = serve::QueryEngine::BuildFromView(*view, "c", opts);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(read->has_ivf() && mapped->has_ivf());
+
+  for (size_t i = 0; i < 48; ++i) {
+    const std::string q = "q" + std::to_string(i);
+    for (auto mode : {serve::SearchMode::kApprox, serve::SearchMode::kExact}) {
+      auto a = read->Query(q, 6, mode);
+      auto b = mapped->Query(q, 6, mode);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(a->size(), b->size()) << q;
+      for (size_t r = 0; r < a->size(); ++r) {
+        EXPECT_EQ((*a)[r].label, (*b)[r].label) << q << " row " << r;
+        EXPECT_EQ((*a)[r].candidate, (*b)[r].candidate) << q << " row " << r;
+        EXPECT_EQ((*a)[r].score, (*b)[r].score) << q << " row " << r;
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(QueryEngineTest, BatchResultsAreThreadCountInvariant) {

@@ -31,9 +31,10 @@ the perf/quality regression gate:
   * every baseline row key must still be present (lost coverage fails).
 Timing-valued metrics (`*seconds*`, `*_ms`, `*qps`) are never
 value-compared — their cost shows up in the wall-time aggregate instead.
-Exactly-reproducible rates (`identity`, `shed_rate`, `cache_hit_rate`
-from serve_shard) are compared symmetrically with a near-zero tolerance:
-they are pure functions of the seed, so any drift fails.
+Exactly-reproducible rates (`identity`, `shed_rate`, `cache_hit_rate`;
+serve_overload emits the last two) are compared symmetrically with a
+near-zero tolerance: they are pure functions of the seed, so any drift
+fails.
 
 `--min-recall X` additionally enforces an absolute floor (no baseline
 needed): every `recall@K` row whose parameter names a PQ configuration
@@ -65,17 +66,16 @@ QUALITY_METRIC_RE = re.compile(
 # pure function of n/dim/options), gated on growth vs baseline.
 MEMORY_METRIC_RE = re.compile(r"_bytes$")
 # Metrics that are themselves timings or machine-dependent throughput
-# (serve_qps/serve_http latency percentiles, qps and serve_shard's
+# (serve_qps/serve_http latency percentiles, qps and serve_overload's
 # achieved_qps, reload_ms, and speedup ratios like fig8_scaling's
 # threads_speedup); never value-compared — their cost is gated through
 # the per-scenario wall-time aggregate (or --min-threads-speedup), and
 # coverage gating still requires the rows to exist.
 TIMING_METRIC_RE = re.compile(r"seconds|_ms$|qps$|speedup$")
-# Exactly-reproducible rates: serve_shard's sharded-vs-unsharded
-# bit-identity fraction and its seeded admission/cache simulations are
-# pure functions of (seed, grid) — any change vs baseline, in either
-# direction, is a behavior change, gated with a symmetric tolerance
-# that only absorbs float formatting.
+# Exactly-reproducible rates: serve_overload's seeded admission/cache
+# simulations are pure functions of (seed, grid) — any change vs
+# baseline, in either direction, is a behavior change, gated with a
+# symmetric tolerance that only absorbs float formatting.
 EXACT_METRIC_RE = re.compile(r"^(identity|shed_rate|cache_hit_rate)$")
 EXACT_TOLERANCE = 1e-9
 

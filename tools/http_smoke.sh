@@ -8,17 +8,17 @@
 #
 # Modes:
 #   basic      full endpoint tour: query, batch, hot reload, stats, and a
-#              SIGTERM that must drain and exit 0 (the build-and-test leg).
+#              SIGTERM that must drain and exit 0; then 20 start -> healthz
+#              -> immediate SIGTERM cycles, each of which must also drain
+#              and exit 0 (the build-and-test leg).
 #   sanitized  the lighter tour the ASan/UBSan job runs (longer healthz
 #              budget: sanitized startup is slow).
-#   sharded    two servers, one unsharded and one --shards 4: exact-mode
-#              responses must be byte-identical; then a flood against
-#              --max-inflight 2 must produce at least one 429 with a
-#              well-formed Retry-After while /v1/healthz stays green and
-#              the /v1/stats shed counter advances.
+#   overload   a flood against --max-inflight 2 must produce at least one
+#              429 with a well-formed Retry-After while /v1/healthz stays
+#              green and the /v1/stats shed counter advances.
 set -euo pipefail
 
-mode=${1:?usage: http_smoke.sh <basic|sanitized|sharded> <serve-binary> <snapshot.tds>}
+mode=${1:?usage: http_smoke.sh <basic|sanitized|overload> <serve-binary> <snapshot.tds>}
 serve_bin=${2:?missing tdmatch_serve binary path}
 snapshot=${3:?missing snapshot path}
 
@@ -165,6 +165,20 @@ case "$mode" in
       "$tmp_dir/serve.jsonl" || fail "log file lines are not valid JSON"
 
     drain "$server_pid"
+
+    # Early SIGTERM: a signal that lands right after startup, while the
+    # engine pool and history sampler threads are fresh, must still drain
+    # (serve_drain logged) and exit 0 — never die by the signal.
+    for ((cycle = 0; cycle < 20; cycle++)); do
+      log="$tmp_dir/early_term.$cycle.jsonl"
+      start_server "$port" --log-file "$log"
+      server_pid=$last_pid
+      wait_healthy "$port" 50
+      drain "$server_pid" \
+        || fail "early SIGTERM cycle $cycle: server did not exit 0"
+      grep -q '"serve_drain"' "$log" \
+        || fail "early SIGTERM cycle $cycle: no serve_drain line"
+    done
     ;;
 
   sanitized)
@@ -178,41 +192,26 @@ case "$mode" in
     drain "$server_pid"
     ;;
 
-  sharded)
-    plain_port=18090
-    shard_port=18091
-    start_server "$plain_port"
-    plain_pid=$last_pid
-    start_server "$shard_port" --shards 4 --max-inflight 2 --allow-delay
-    shard_pid=$last_pid
-    wait_healthy "$plain_port" 50
-    wait_healthy "$shard_port" 50
+  overload)
+    port=18090
+    start_server "$port" --max-inflight 2 --allow-delay
+    server_pid=$last_pid
+    wait_healthy "$port" 50
 
-    # Exact-mode bit-identity from outside the process: the sharded
-    # scatter-gather must render byte-identical bodies (same matches,
-    # same %.17g score spellings) for every query.
-    for label in "q:0" "q:1" "q:2" "q:3"; do
-      body="{\"label\": \"$label\", \"k\": 5, \"mode\": \"exact\"}"
-      post "$plain_port" "$body" > "$tmp_dir/plain.json"
-      post "$shard_port" "$body" > "$tmp_dir/shard.json"
-      cmp "$tmp_dir/plain.json" "$tmp_dir/shard.json" \
-        || fail "sharded response for $label differs from unsharded"
-    done
-
-    # Overload: flood past --max-inflight 2 with a debug delay holding
-    # each admitted query in flight. At least one 429 with a well-formed
-    # Retry-After must come back, health must stay green, and the shed
-    # counter must advance — fail fast, never fall over.
+    # Flood past --max-inflight 2 with a debug delay holding each admitted
+    # query in flight. At least one 429 with a well-formed Retry-After
+    # must come back, health must stay green, and the shed counter must
+    # advance — fail fast, never fall over.
     flood=8
     flood_pids=()
     for ((i = 0; i < flood; i++)); do
-      curl -s -X POST "http://127.0.0.1:$shard_port/v1/query" \
+      curl -s -X POST "http://127.0.0.1:$port/v1/query" \
         -d '{"label": "q:0", "k": 3, "delay_ms": 500}' \
         -D "$tmp_dir/headers.$i" -o "$tmp_dir/body.$i" \
         -w '%{http_code}' > "$tmp_dir/status.$i" &
       flood_pids+=("$!")
     done
-    # Wait for the flood only — a bare `wait` would block on the servers.
+    # Wait for the flood only — a bare `wait` would block on the server.
     for pid in "${flood_pids[@]}"; do
       wait "$pid" || true
     done
@@ -232,20 +231,17 @@ case "$mode" in
       esac
     done
     [ "$sheds" -ge 1 ] || fail "flood of $flood produced no 429 shed"
-    curl -sf "http://127.0.0.1:$shard_port/v1/healthz" > /dev/null \
+    curl -sf "http://127.0.0.1:$port/v1/healthz" > /dev/null \
       || fail "healthz went red under overload"
-    curl -sf "http://127.0.0.1:$shard_port/v1/stats" > "$tmp_dir/stats.json"
+    curl -sf "http://127.0.0.1:$port/v1/stats" > "$tmp_dir/stats.json"
     grep -q '"shed":0' "$tmp_dir/stats.json" \
       && fail "stats shed counter did not advance"
-    grep -q '"configured":4' "$tmp_dir/stats.json" \
-      || fail "stats does not report 4 configured shards"
 
-    drain "$plain_pid"
-    drain "$shard_pid"
+    drain "$server_pid"
     ;;
 
   *)
-    fail "unknown mode '$mode' (expected basic|sanitized|sharded)"
+    fail "unknown mode '$mode' (expected basic|sanitized|overload)"
     ;;
 esac
 

@@ -24,8 +24,8 @@ benches=(
   fig9_filtering
   fig10_combination
   serve_http
+  serve_overload
   serve_qps
-  serve_shard
   table1_imdb
   table2_corona
   table3_audit

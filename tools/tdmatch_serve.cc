@@ -19,12 +19,13 @@
 //                 direction is sniffed from the input file's magic)
 //   tdmatch_serve serve    --snapshot model.tds [--port N] [--bind ADDR]
 //                 [--threads N] [--http-threads N] [--k N] [--nprobe N]
-//                 [--exact] [--no-mmap] [--no-reload]
+//                 [--exact] [--no-reload]
 //                 [--trace-sample F] [--slow-query-ms X] [--log-level L]
-//                          # HTTP front end: POST /v1/query, GET
-//                          # /v1/healthz, GET /v1/stats, GET /v1/metrics
-//                          # (Prometheus), POST /v1/reload;
-//                          # SIGTERM/SIGINT drain and exit 0
+//                          # HTTP front end over the mmap'ed snapshot:
+//                          # POST /v1/query, GET /v1/healthz, GET
+//                          # /v1/stats, GET /v1/metrics (Prometheus),
+//                          # POST /v1/reload; SIGTERM/SIGINT drain and
+//                          # exit 0
 //
 // Query labels are the snapshot's embedding labels (the graph's metadata
 // doc labels). The REPL, batch mode, and the HTTP API accept the
@@ -47,6 +48,7 @@
 #include "graph/builder.h"
 #include "serve/http/server.h"
 #include "serve/http/service.h"
+#include "serve/mmap_snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "util/obs/jsonlog.h"
@@ -82,9 +84,7 @@ struct ServeArgs {
   std::string bind = "127.0.0.1";
   size_t port = 8080;
   size_t http_threads = 4;
-  bool no_mmap = false;
   bool no_reload = false;
-  size_t shards = 1;
   /// SIZE_MAX = no admission limit; 0 is valid and sheds every query.
   size_t max_inflight = std::numeric_limits<size_t>::max();
   double latency_budget_ms = 0.0;
@@ -134,8 +134,8 @@ int Usage(const char* prog) {
       "  convert        --in <file> --out <file>   (text <-> snapshot)\n"
       "  serve          --snapshot <model.tds> [--port N] [--bind ADDR]\n"
       "                 [--threads N] [--http-threads N] [--k N]\n"
-      "                 [--nprobe N] [--exact] [--no-mmap] [--no-reload]\n"
-      "                 [--shards N] [--max-inflight N]\n"
+      "                 [--nprobe N] [--exact] [--no-reload]\n"
+      "                 [--max-inflight N]\n"
       "                 [--latency-budget-ms X] [--cache N] [--allow-delay]\n"
       "                 [--trace-sample F] [--slow-query-ms X]\n"
       "                 [--log-level debug|info|warn|error]\n"
@@ -145,8 +145,7 @@ int Usage(const char* prog) {
       "                 [--slo-slow-window-s S] [--slo-fast-burn X]\n"
       "                 [--slo-slow-burn X] [--no-profile]\n"
       "                 [--profile-hz N]\n"
-      "                 (--shards: scatter-gather shard count;\n"
-      "                  --max-inflight: shed 429 + Retry-After past N\n"
+      "                 (--max-inflight: shed 429 + Retry-After past N\n"
       "                  in-flight queries (0 sheds all); --latency-budget-ms:\n"
       "                  auto-tune nprobe to a p99 target + the latency\n"
       "                  SLO threshold; --cache: LRU\n"
@@ -312,9 +311,9 @@ int RunBuildSnapshot(const ServeArgs& args) {
 }
 
 util::Result<serve::QueryEngine> LoadEngine(const ServeArgs& args) {
-  TDM_ASSIGN_OR_RETURN(serve::Snapshot snap,
-                       serve::SnapshotIo::Read(args.snapshot_path));
-  std::string prefix = snap.meta.Find("candidate_prefix");
+  TDM_ASSIGN_OR_RETURN(std::shared_ptr<const serve::SnapshotView> view,
+                       serve::SnapshotView::Open(args.snapshot_path));
+  std::string prefix = view->meta().Find("candidate_prefix");
   if (prefix.empty()) prefix = kCandidatePrefix;
   serve::QueryEngineOptions opts;
   opts.threads = args.threads;
@@ -322,7 +321,7 @@ util::Result<serve::QueryEngine> LoadEngine(const ServeArgs& args) {
   opts.build_ivf = !args.exact;
   opts.ivf.nprobe = args.nprobe;
   opts.ivf.pq_m = args.pq_m;
-  return serve::QueryEngine::BuildForPrefix(std::move(snap), prefix, opts);
+  return serve::QueryEngine::BuildFromView(std::move(view), prefix, opts);
 }
 
 /// `tdmatch_serve isa`: one line for CI logs — which kernel set queries
@@ -465,15 +464,25 @@ int RunServe(const ServeArgs& args) {
     return 2;
   }
 
+  // Block the shutdown signals before any thread exists — the engine
+  // pool, the history sampler and the server workers all inherit the
+  // mask — then wait for one synchronously on the main thread: the signal
+  // is the shutdown command, handled with no async-signal-safety
+  // gymnastics, and no thread can take its default action and kill the
+  // process instead of draining it.
+  sigset_t signals;
+  sigemptyset(&signals);
+  sigaddset(&signals, SIGINT);
+  sigaddset(&signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+
   serve::http::ServiceOptions sopts;
   sopts.engine.threads = args.threads;
   sopts.engine.default_k = args.k;
   sopts.engine.build_ivf = !args.exact;
   sopts.engine.ivf.nprobe = args.nprobe;
   sopts.engine.ivf.pq_m = args.pq_m;
-  sopts.use_mmap = !args.no_mmap;
   sopts.allow_reload = !args.no_reload;
-  sopts.shards = args.shards;
   sopts.max_inflight = args.max_inflight;
   sopts.latency_budget_ms = args.latency_budget_ms;
   sopts.cache_entries = args.cache_entries;
@@ -519,16 +528,6 @@ int RunServe(const ServeArgs& args) {
   serve::http::HttpServer server(hopts);
   service.Register(&server);
 
-  // Block the shutdown signals before spawning the server threads (they
-  // inherit the mask), then wait for one synchronously: the signal is the
-  // shutdown command, handled on the main thread with no async-signal-
-  // safety gymnastics.
-  sigset_t signals;
-  sigemptyset(&signals);
-  sigaddset(&signals, SIGINT);
-  sigaddset(&signals, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
-
   st = server.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -539,8 +538,6 @@ int RunServe(const ServeArgs& args) {
       .Str("snapshot", args.snapshot_path)
       .Str("scenario", state->engine->meta().scenario)
       .Uint("candidates", state->engine->num_candidates())
-      .Uint("shards", state->engine->num_shards())
-      .Str("loader", state->mmap ? "mmap" : "copy")
       .Num("load_seconds", state->load_seconds)
       .Str("bind", args.bind)
       .Uint("port", server.port())
@@ -605,8 +602,6 @@ int Main(int argc, char** argv) {
     const char* v = nullptr;
     if (flag == "--exact") {
       args.exact = true;
-    } else if (flag == "--no-mmap") {
-      args.no_mmap = true;
     } else if (flag == "--no-reload") {
       args.no_reload = true;
     } else if (flag == "--bind" && (v = next())) {
@@ -664,11 +659,6 @@ int Main(int argc, char** argv) {
     } else if (flag == "--threads" && (v = next())) {
       if (!ParseSize(v, &args.threads) || args.threads == 0) {
         std::fprintf(stderr, "bad --threads '%s'\n", v);
-        return 2;
-      }
-    } else if (flag == "--shards" && (v = next())) {
-      if (!ParseSize(v, &args.shards) || args.shards == 0) {
-        std::fprintf(stderr, "bad --shards '%s'\n", v);
         return 2;
       }
     } else if (flag == "--max-inflight" && (v = next())) {
