@@ -1,6 +1,7 @@
 #include "match/top_k.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "embed/embedding_table.h"
 
@@ -9,20 +10,44 @@ namespace match {
 
 namespace {
 
-/// The ranking order: descending score, ties broken by lower index. This
-/// is a strict total order (indices are unique), so every selection
-/// strategy below produces the same, deterministic result.
-struct RankBefore {
-  const double* scores;
-  bool operator()(int32_t a, int32_t b) const {
-    const double sa = scores[static_cast<size_t>(a)];
-    const double sb = scores[static_cast<size_t>(b)];
-    if (sa != sb) return sa > sb;
-    return a < b;
-  }
-};
+/// The ranking order: descending score, ties broken by lower index. As
+/// the heap's less-than it puts the worst kept entry at the root.
+bool RankBefore(const Match& a, const Match& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.index < b.index;
+}
 
 }  // namespace
+
+void TopKCollector::Insert(int32_t index, double score) {
+  // A score tie with the root goes to the lower index.
+  if (score == worst_score_ && index >= worst_index_) return;
+  if (heap_.size() < k_) {
+    heap_.push_back(Match{index, score});
+    std::push_heap(heap_.begin(), heap_.end(), RankBefore);
+    if (heap_.size() < k_) return;
+  } else {
+    // Replace the root and sift the new entry down past every child that
+    // ranks after it.
+    const Match m{index, score};
+    const size_t n = heap_.size();
+    size_t i = 0;
+    for (size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && RankBefore(heap_[c], heap_[c + 1])) ++c;
+      if (!RankBefore(m, heap_[c])) break;
+      heap_[i] = heap_[c];
+      i = c;
+    }
+    heap_[i] = m;
+  }
+  worst_score_ = heap_.front().score;
+  worst_index_ = heap_.front().index;
+}
+
+std::vector<Match> TopKCollector::Take() {
+  std::sort_heap(heap_.begin(), heap_.end(), RankBefore);
+  return std::move(heap_);
+}
 
 std::vector<double> TopK::ScoreAll(
     const std::vector<float>& query,
@@ -36,57 +61,11 @@ std::vector<double> TopK::ScoreAll(
 }
 
 std::vector<Match> TopK::Select(const std::vector<double>& scores, size_t k) {
+  const double* s = scores.data();
   const size_t n = scores.size();
-  k = std::min(k, n);
-  if (k == 0) return {};
-  const RankBefore before{scores.data()};
-
-  std::vector<int32_t> idx;
-  if (k * 4 >= n) {
-    // Large k: sorting (most of) the index array outright beats heap
-    // maintenance.
-    idx.resize(n);
-    for (size_t i = 0; i < n; ++i) idx[i] = static_cast<int32_t>(i);
-    std::partial_sort(idx.begin(),
-                      idx.begin() + static_cast<std::ptrdiff_t>(k), idx.end(),
-                      before);
-    idx.resize(k);
-  } else {
-    // Small k (the match::TopK hot path: k in the tens against thousands
-    // of candidates): a bounded heap of the k best seen so far. With
-    // `before` as the heap's less-than, the root is the *worst* kept
-    // candidate. The root's score is kept in a register so the common
-    // case — candidate does not displace anything — is one comparison
-    // with no memory traffic; heap work is O(log k) and rare. No O(n)
-    // index array is materialized.
-    idx.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      idx.push_back(static_cast<int32_t>(i));
-      std::push_heap(idx.begin(), idx.end(), before);
-    }
-    int32_t worst = idx.front();
-    double worst_score = scores[static_cast<size_t>(worst)];
-    for (size_t i = k; i < n; ++i) {
-      const double s = scores[i];
-      if (s < worst_score ||
-          (s == worst_score && static_cast<int32_t>(i) > worst)) {
-        continue;
-      }
-      std::pop_heap(idx.begin(), idx.end(), before);
-      idx.back() = static_cast<int32_t>(i);
-      std::push_heap(idx.begin(), idx.end(), before);
-      worst = idx.front();
-      worst_score = scores[static_cast<size_t>(worst)];
-    }
-    std::sort(idx.begin(), idx.end(), before);
-  }
-
-  std::vector<Match> out;
-  out.reserve(k);
-  for (int32_t i : idx) {
-    out.push_back(Match{i, scores[static_cast<size_t>(i)]});
-  }
-  return out;
+  TopKCollector top(std::min(k, n));
+  for (size_t i = 0; i < n; ++i) top.Push(static_cast<int32_t>(i), s[i]);
+  return top.Take();
 }
 
 std::vector<int32_t> TopK::FullRanking(const std::vector<double>& scores) {

@@ -60,10 +60,11 @@ class VectorMatrix {
 /// reference) and IvfIndex (approximate, the latency play).
 ///
 /// Queries are raw `dim()`-sized float vectors; they are L2-normalized by
-/// the caller-facing Search wrapper so scores are cosines. `allowed`, when
-/// non-null, restricts results to candidate ids with allowed[id] != 0 —
-/// the hook for blocking-aware filtered queries. All implementations are
-/// immutable after construction and safe for concurrent Search calls.
+/// the caller-facing Search wrapper so scores are cosines. Every scan
+/// pushes its (id, score) pairs into one match::TopKCollector, so all
+/// implementations rank by the same order — score desc, id asc — whatever
+/// order they visit candidates in. All implementations are immutable
+/// after construction and safe for concurrent Search calls.
 class Index {
  public:
   virtual ~Index() = default;
@@ -80,14 +81,12 @@ class Index {
 
   /// Top-k candidates by cosine, best first, ties broken by lower id.
   /// `query` must already be L2-normalized (see SearchVec).
-  virtual std::vector<match::Match> Search(
-      const float* query, size_t k,
-      const std::vector<char>* allowed = nullptr) const = 0;
+  virtual std::vector<match::Match> Search(const float* query,
+                                           size_t k) const = 0;
 
   /// Convenience wrapper: normalizes a copy of `query` and searches.
-  std::vector<match::Match> SearchVec(
-      const std::vector<float>& query, size_t k,
-      const std::vector<char>* allowed = nullptr) const;
+  std::vector<match::Match> SearchVec(const std::vector<float>& query,
+                                      size_t k) const;
 };
 
 /// \brief Brute-force scan over the full candidate matrix. O(n · dim) per
@@ -102,9 +101,15 @@ class ExactIndex : public Index {
   size_t size() const override { return data_->size(); }
   int dim() const override { return data_->dim(); }
 
-  std::vector<match::Match> Search(
-      const float* query, size_t k,
-      const std::vector<char>* allowed = nullptr) const override;
+  std::vector<match::Match> Search(const float* query,
+                                   size_t k) const override {
+    return Search(query, k, nullptr);
+  }
+
+  /// The same scan restricted to candidate ids with allowed[id] != 0 (all
+  /// ids when null) — the hook for blocking-aware filtered queries.
+  std::vector<match::Match> Search(const float* query, size_t k,
+                                   const std::vector<char>* allowed) const;
 
  private:
   std::shared_ptr<const VectorMatrix> data_;

@@ -146,75 +146,61 @@ size_t IvfIndex::ListBytes() const {
   return list_vectors_.size() * sizeof(float);
 }
 
-std::vector<match::Match> IvfIndex::Search(
-    const float* query, size_t k, const std::vector<char>* allowed) const {
-  return SearchWithNprobe(query, k, nprobe_, allowed);
+std::vector<match::Match> IvfIndex::Search(const float* query,
+                                           size_t k) const {
+  return SearchWithNprobe(query, k, nprobe_);
 }
 
-std::vector<match::Match> IvfIndex::SearchWithNprobe(
-    const float* query, size_t k, size_t nprobe,
-    const std::vector<char>* allowed) const {
+std::vector<match::Match> IvfIndex::SearchWithNprobe(const float* query,
+                                                     size_t k,
+                                                     size_t nprobe) const {
   const size_t d = static_cast<size_t>(data_->dim());
   if (data_->size() == 0 || k == 0) return {};
   nprobe = std::max<size_t>(1, std::min(nprobe, nlist_));
 
   // Coarse quantizer: nearest nprobe cells by centroid dot product.
-  std::vector<double> cell_scores(nlist_);
+  match::TopKCollector cells(nprobe);
   for (size_t c = 0; c < nlist_; ++c) {
-    cell_scores[c] = simd::Dot(query, centroids_.data() + c * d, d);
+    cells.Push(static_cast<int32_t>(c),
+               simd::Dot(query, centroids_.data() + c * d, d));
   }
-  const std::vector<match::Match> probes =
-      match::TopK::Select(cell_scores, nprobe);
+  const std::vector<match::Match> probes = cells.Take();
+  size_t members = 0;
+  for (const auto& probe : probes) {
+    members += ListSize(static_cast<size_t>(probe.index));
+  }
 
-  return pq_enabled() ? SearchPq(query, k, probes, allowed)
-                      : SearchFlat(query, k, probes, allowed);
+  return pq_enabled() ? SearchPq(query, k, probes, members)
+                      : SearchFlat(query, k, probes, members);
 }
+
+// Both scans push every probed member straight into a TopKCollector. Its
+// (score desc, id asc) order does not depend on push order, so visiting
+// the cells in probe order still breaks ties by global id: IVF and exact
+// return identical results whenever the probed cells cover the exact
+// top-k, ties included.
 
 std::vector<match::Match> IvfIndex::SearchFlat(
     const float* query, size_t k, const std::vector<match::Match>& probes,
-    const std::vector<char>* allowed) const {
+    size_t members) const {
   const size_t d = static_cast<size_t>(data_->dim());
 
-  // Scan the probed lists: exact cosine on every member (the vectors are
-  // full-precision, so the "re-rank" is exact by construction).
-  std::vector<match::Match> gathered;
+  // Exact cosine on every probed member: the vectors are full-precision,
+  // so the "re-rank" is exact by construction.
+  match::TopKCollector top(std::min(k, members));
   for (const auto& probe : probes) {
     const size_t c = static_cast<size_t>(probe.index);
     for (size_t pos = list_offsets_[c]; pos < list_offsets_[c + 1]; ++pos) {
-      const int32_t id = list_ids_[pos];
-      if (allowed != nullptr && (*allowed)[static_cast<size_t>(id)] == 0) {
-        continue;
-      }
-      const float dot = simd::Dot(query, list_vectors_.data() + pos * d, d);
-      gathered.push_back(match::Match{id, dot});
+      top.Push(list_ids_[pos],
+               simd::Dot(query, list_vectors_.data() + pos * d, d));
     }
   }
-
-  // Re-rank through the bounded heap of match::TopK, whose ties break by
-  // lower position. Sorting the gather by candidate id first (cheap: the
-  // gather is nprobe short id-sorted runs) makes that tie-break the
-  // global id order — so IVF and exact return identical results whenever
-  // the probed cells cover the exact top-k, ties included.
-  std::sort(gathered.begin(), gathered.end(),
-            [](const match::Match& a, const match::Match& b) {
-              return a.index < b.index;
-            });
-  std::vector<double> scores;
-  scores.reserve(gathered.size());
-  for (const auto& g : gathered) scores.push_back(g.score);
-  std::vector<match::Match> top = match::TopK::Select(scores, k);
-  std::vector<match::Match> out;
-  out.reserve(top.size());
-  for (const auto& m : top) {
-    out.push_back(
-        match::Match{gathered[static_cast<size_t>(m.index)].index, m.score});
-  }
-  return out;
+  return top.Take();
 }
 
 std::vector<match::Match> IvfIndex::SearchPq(
     const float* query, size_t k, const std::vector<match::Match>& probes,
-    const std::vector<char>* allowed) const {
+    size_t members) const {
   const size_t d = static_cast<size_t>(data_->dim());
   const size_t m = options_.pq_m;
   const size_t ds = d / m;
@@ -232,10 +218,11 @@ std::vector<match::Match> IvfIndex::SearchPq(
     }
   }
 
-  // ADC scan of the probed lists: each cell's codes are one contiguous
-  // stripe, scored in a single batched kernel call; the allowed filter
-  // applies during the gather of the scored stripe.
-  std::vector<match::Match> gathered;
+  // ADC scan of the probed lists (each cell's codes are one contiguous
+  // stripe, scored in a single batched kernel call) into a shortlist of
+  // the best `pq_rerank` candidates (at least k).
+  match::TopKCollector shortlist(
+      std::min(std::max<size_t>(options_.pq_rerank, k), members));
   std::vector<float> approx;
   for (const auto& probe : probes) {
     const size_t c = static_cast<size_t>(probe.index);
@@ -246,48 +233,19 @@ std::vector<match::Match> IvfIndex::SearchPq(
     simd::AdcScan(list_codes_.data() + begin * m, count, m, table.data(),
                   approx.data());
     for (size_t j = 0; j < count; ++j) {
-      const int32_t id = list_ids_[begin + j];
-      if (allowed != nullptr && (*allowed)[static_cast<size_t>(id)] == 0) {
-        continue;
-      }
-      gathered.push_back(match::Match{id, approx[j]});
+      shortlist.Push(list_ids_[begin + j], approx[j]);
     }
   }
 
-  // Keep the best `pq_rerank` ADC candidates (at least k), then re-rank
-  // those exactly against the shared full-precision matrix. Both
-  // selections run over id-sorted input so TopK's position tie-break is
-  // the global id order, matching ExactIndex on ties.
-  std::sort(gathered.begin(), gathered.end(),
-            [](const match::Match& a, const match::Match& b) {
-              return a.index < b.index;
-            });
-  std::vector<double> approx_scores;
-  approx_scores.reserve(gathered.size());
-  for (const auto& g : gathered) approx_scores.push_back(g.score);
-  const size_t rerank = std::max<size_t>(options_.pq_rerank, k);
-  std::vector<match::Match> shortlist =
-      match::TopK::Select(approx_scores, rerank);
-
-  std::vector<int32_t> ids;
-  ids.reserve(shortlist.size());
-  for (const auto& s : shortlist) {
-    ids.push_back(gathered[static_cast<size_t>(s.index)].index);
+  // Exact re-rank of the shortlist against the shared full-precision
+  // matrix.
+  const std::vector<match::Match> candidates = shortlist.Take();
+  match::TopKCollector top(std::min(k, candidates.size()));
+  for (const auto& c : candidates) {
+    top.Push(c.index,
+             simd::Dot(query, data_->row(static_cast<size_t>(c.index)), d));
   }
-  std::sort(ids.begin(), ids.end());
-  std::vector<double> exact_scores;
-  exact_scores.reserve(ids.size());
-  for (const int32_t id : ids) {
-    exact_scores.push_back(
-        simd::Dot(query, data_->row(static_cast<size_t>(id)), d));
-  }
-  std::vector<match::Match> top = match::TopK::Select(exact_scores, k);
-  std::vector<match::Match> out;
-  out.reserve(top.size());
-  for (const auto& t : top) {
-    out.push_back(match::Match{ids[static_cast<size_t>(t.index)], t.score});
-  }
-  return out;
+  return top.Take();
 }
 
 std::string IvfIndex::Serialize(uint32_t labels_crc) const {

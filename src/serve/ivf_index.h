@@ -63,7 +63,10 @@ struct IvfOptions {
 /// Inverted lists are stored flat CSR-style (offsets + one contiguous id
 /// array) with the member payload (vectors or codes) in list order, so a
 /// probe scans one contiguous stripe of memory. All dot products route
-/// through the runtime-dispatched simd kernel layer.
+/// through the runtime-dispatched simd kernel layer. Every selection —
+/// the coarse probe, the flat scan, the PQ shortlist and its exact
+/// re-rank — streams into a match::TopKCollector, whose (score desc, id
+/// asc) order makes ties break by global id in any probe order.
 class IvfIndex : public Index {
  public:
   /// Builds the index (trains k-means + optional PQ codebooks, fills the
@@ -86,20 +89,15 @@ class IvfIndex : public Index {
   /// the pq_m knob buys is flat ListBytes / PQ ListBytes.
   size_t ListBytes() const;
 
-  /// Note: `allowed` filters within the probed cells only — allowed
-  /// candidates living in unprobed cells are not considered. For small
-  /// allowed sets use ExactIndex (QueryEngine::QueryFiltered does).
-  std::vector<match::Match> Search(
-      const float* query, size_t k,
-      const std::vector<char>* allowed = nullptr) const override;
+  std::vector<match::Match> Search(const float* query,
+                                   size_t k) const override;
 
   /// Search with an explicit probe count (clamped to [1, nlist]) instead
   /// of the stored nprobe. Const and thread-safe: this is the per-query
   /// recall/latency override the serving auto-tuner drives, usable while
   /// other threads query concurrently (unlike set_nprobe).
-  std::vector<match::Match> SearchWithNprobe(
-      const float* query, size_t k, size_t nprobe,
-      const std::vector<char>* allowed = nullptr) const;
+  std::vector<match::Match> SearchWithNprobe(const float* query, size_t k,
+                                             size_t nprobe) const;
 
   /// The recall knob; clamped to [1, nlist]. Safe between queries, not
   /// concurrently with them.
@@ -140,12 +138,14 @@ class IvfIndex : public Index {
   /// Trains the per-subspace codebooks and fills `codes` (n × pq_m, in
   /// candidate-id order) from the trainer's final assignments.
   void TrainPq(std::vector<uint8_t>* codes);
+  /// The list scans behind SearchWithNprobe over the `probes` cells,
+  /// which hold `members` candidates in total.
   std::vector<match::Match> SearchFlat(
       const float* query, size_t k, const std::vector<match::Match>& probes,
-      const std::vector<char>* allowed) const;
+      size_t members) const;
   std::vector<match::Match> SearchPq(
       const float* query, size_t k, const std::vector<match::Match>& probes,
-      const std::vector<char>* allowed) const;
+      size_t members) const;
 
   std::shared_ptr<const VectorMatrix> data_;
   IvfOptions options_;

@@ -1,5 +1,6 @@
 #include "serve/query_engine.h"
 
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -124,11 +125,6 @@ util::Result<QueryEngine> QueryEngine::BuildForPrefix(
   return engine;
 }
 
-const Index& QueryEngine::IndexFor(SearchMode mode) const {
-  if (mode == SearchMode::kApprox && ivf_ != nullptr) return *ivf_;
-  return *exact_;
-}
-
 std::vector<ScoredMatch> QueryEngine::ToScored(
     const std::vector<match::Match>& matches) const {
   std::vector<ScoredMatch> out;
@@ -148,8 +144,16 @@ util::Result<std::vector<ScoredMatch>> QueryEngine::QueryVector(
         util::StrFormat("query vector has dim %zu, snapshot dim is %d",
                         vec.size(), dim()));
   }
+  for (const float x : vec) {
+    // Overflowing components (|x| >= ~3.4e38 arrives as inf) would
+    // normalize the query to NaN.
+    if (!std::isfinite(x)) {
+      return util::Status::InvalidArgument(
+          "query vector has a non-finite component");
+    }
+  }
   if (k == 0) k = options_.default_k;
-  return SearchNormalized(IndexFor(mode), vec.data(), k, nullptr, nprobe);
+  return SearchNormalized(vec.data(), k, mode, nprobe);
 }
 
 const float* QueryEngine::LookupVector(const std::string& label,
@@ -167,16 +171,17 @@ const float* QueryEngine::LookupVector(const std::string& label,
 }
 
 std::vector<ScoredMatch> QueryEngine::SearchNormalized(
-    const Index& index, const float* vec, size_t k,
-    const std::vector<char>* allowed, size_t nprobe) const {
+    const float* vec, size_t k, SearchMode mode, size_t nprobe,
+    const std::vector<char>* allowed) const {
   // One copy total (the normalization scratch) — the same cost the
   // pre-mmap code paid through Index::SearchVec.
   std::vector<float> q(vec, vec + static_cast<size_t>(matrix_->dim()));
   NormalizeSlice(q.data(), matrix_->dim());
-  if (nprobe > 0 && ivf_ != nullptr && &index == ivf_.get()) {
-    return ToScored(ivf_->SearchWithNprobe(q.data(), k, nprobe, allowed));
+  if (mode == SearchMode::kApprox && ivf_ != nullptr) {
+    return ToScored(ivf_->SearchWithNprobe(
+        q.data(), k, nprobe > 0 ? nprobe : ivf_->nprobe()));
   }
-  return ToScored(index.Search(q.data(), k, allowed));
+  return ToScored(exact_->Search(q.data(), k, allowed));
 }
 
 util::Result<std::vector<ScoredMatch>> QueryEngine::Query(
@@ -188,7 +193,7 @@ util::Result<std::vector<ScoredMatch>> QueryEngine::Query(
     return util::Status::NotFound("no embedding for label '" + label + "'");
   }
   if (k == 0) k = options_.default_k;
-  return SearchNormalized(IndexFor(mode), vec, k, nullptr, nprobe);
+  return SearchNormalized(vec, k, mode, nprobe);
 }
 
 size_t QueryEngine::BuildMask(const std::vector<std::string>& allowed,
@@ -215,11 +220,11 @@ util::Result<std::vector<ScoredMatch>> QueryEngine::QueryFiltered(
   std::vector<char> mask;
   if (BuildMask(allowed, &mask) == 0) return std::vector<ScoredMatch>{};
   if (k == 0) k = options_.default_k;
-  // Always the exact index: the IVF scan only sees the nprobe probed
-  // cells, so a small allowed set (the blocker regime this API exists
+  // Always the exact index, the only one that takes a mask: the IVF scan
+  // only sees the nprobe probed cells, so a small allowed set (the blocker regime this API exists
   // for) could be missed entirely — and a blocked scan is O(|block|)
   // cheap anyway.
-  return SearchNormalized(*exact_, vec, k, &mask);
+  return SearchNormalized(vec, k, SearchMode::kExact, 0, &mask);
 }
 
 std::vector<util::Result<std::vector<ScoredMatch>>> QueryEngine::QueryBatch(

@@ -29,7 +29,9 @@ struct QueryEngineOptions {
   /// k used when a query passes k = 0.
   size_t default_k = 5;
   /// Build the IVF index next to the exact one. Off ⇒ every query is an
-  /// exact scan (small candidate sets where ANN overhead isn't worth it).
+  /// exact scan. Nothing turns it off by candidate count: approx queries
+  /// use IVF on any candidate set, small ones included (tdmatch_serve's
+  /// --exact turns it off).
   bool build_ivf = true;
   /// Adopt a pre-trained index from the snapshot's "ivfpq" section
   /// instead of re-training k-means at build time, when one is present
@@ -94,7 +96,8 @@ class QueryEngine {
       const std::string& label, size_t k = 0,
       SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
 
-  /// Top-k for a caller-provided vector (must be table dim).
+  /// Top-k for a caller-provided vector. InvalidArgument unless it has
+  /// table dim and every component is finite.
   util::Result<std::vector<ScoredMatch>> QueryVector(
       const std::vector<float>& vec, size_t k = 0,
       SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
@@ -154,7 +157,6 @@ class QueryEngine {
  private:
   QueryEngine() = default;
 
-  const Index& IndexFor(SearchMode mode) const;
   std::vector<ScoredMatch> ToScored(
       const std::vector<match::Match>& matches) const;
   /// Builds the allowed-label mask for filtered queries; returns the
@@ -169,12 +171,12 @@ class QueryEngine {
   /// for an unaligned mapping). Null when the label is unknown.
   const float* LookupVector(const std::string& label,
                             std::vector<float>* scratch) const;
-  /// Normalizes a copy of `vec` (table dim) and searches `index`. A
-  /// positive `nprobe` overrides the probe count when `index` is the IVF
-  /// index (ignored otherwise).
+  /// Normalizes a copy of `vec` (table dim) and searches the index `mode`
+  /// selects. A positive `nprobe` overrides the IVF probe count; `allowed`
+  /// masks candidates and only applies to the exact index.
   std::vector<ScoredMatch> SearchNormalized(
-      const Index& index, const float* vec, size_t k,
-      const std::vector<char>* allowed = nullptr, size_t nprobe = 0) const;
+      const float* vec, size_t k, SearchMode mode, size_t nprobe,
+      const std::vector<char>* allowed = nullptr) const;
 
   Snapshot snapshot_;
   std::shared_ptr<const SnapshotView> view_;

@@ -67,9 +67,10 @@ TEST(TopKTest, SelectClampsK) {
 }
 
 TEST(TopKTest, HeapAndPartialSortPathsAgree) {
-  // Property check: for random scores with deliberate duplicates, the
-  // small-k heap path must produce exactly the ranking of a full sort
-  // under the documented order (score desc, index asc).
+  // Property check: for random scores with deliberate duplicates, Select
+  // and a TopKCollector fed in shuffled order must both produce exactly
+  // the ranking of a full sort under the documented order (score desc,
+  // index asc), for every k from 0 past n.
   util::Rng rng(17);
   std::vector<double> scores(600);
   for (auto& s : scores) {
@@ -89,12 +90,21 @@ TEST(TopKTest, HeapAndPartialSortPathsAgree) {
     idx.resize(k);
     return idx;
   };
-  for (size_t k : {1u, 5u, 20u, 140u, 599u, 600u}) {
-    auto got = match::TopK::Select(scores, k);
-    auto want = reference(k);
-    ASSERT_EQ(got.size(), want.size()) << "k=" << k;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].index, want[i]) << "k=" << k << " rank " << i;
+  std::vector<int32_t> order(scores.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<int32_t>(i);
+  }
+  rng.Shuffle(&order);
+  for (size_t k : {0u, 1u, 5u, 20u, 140u, 599u, 600u, 603u}) {
+    match::TopKCollector shuffled(k);
+    for (int32_t i : order) shuffled.Push(i, scores[static_cast<size_t>(i)]);
+    const std::vector<match::Match> shuffled_got = shuffled.Take();
+    const auto want = reference(std::min(k, scores.size()));
+    for (const auto& got : {match::TopK::Select(scores, k), shuffled_got}) {
+      ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].index, want[i]) << "k=" << k << " rank " << i;
+      }
     }
   }
 }

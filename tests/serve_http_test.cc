@@ -785,6 +785,31 @@ TEST(MatchServiceTest, RejectsBadRequests) {
   std::remove(path.c_str());
 }
 
+TEST(MatchServiceTest, RejectsNonFiniteQueryVectors) {
+  // 1e400 parses to inf and 1e39 overflows the float cast to inf; an inf
+  // component normalizes the query to NaN, which must be a 400 in both
+  // modes rather than a 200 with null scores.
+  const std::string path = WriteGeometricSnapshot("svc_nonfinite.tds", 6, 0);
+  ServiceFixture fx(path);
+  auto client = HttpClient::Connect("127.0.0.1", fx.server.port());
+  ASSERT_TRUE(client.ok());
+  for (const char* mode : {"approx", "exact"}) {
+    for (const char* vec : {"[1e400, 0]", "[0, -1e39]", "[3e38, 1]"}) {
+      const std::string body = std::string("{\"vector\": ") + vec +
+                               ", \"k\": 3, \"mode\": \"" + mode + "\"}";
+      auto r = client->Post("/v1/query", body);
+      ASSERT_TRUE(r.ok()) << body;
+      // The largest finite floats still serve.
+      const bool finite = std::string(vec) == "[3e38, 1]";
+      EXPECT_EQ(r->status, finite ? 200 : 400) << body << " -> " << r->body;
+      auto doc = util::JsonParse(r->body);
+      ASSERT_TRUE(doc.ok()) << r->body;
+      EXPECT_EQ(doc->Find("error") == nullptr, finite) << body;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(MatchServiceTest, HealthStatsAndReloadEndpoints) {
   const std::string path_a = WriteGeometricSnapshot("svc_a.tds", 12, 0);
   const std::string path_b = WriteGeometricSnapshot("svc_b.tds", 12, 5);

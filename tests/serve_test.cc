@@ -1,6 +1,7 @@
 // Tests for the online serving subsystem: snapshot persistence, the
 // exact/IVF index pair, and the batched QueryEngine.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -266,15 +267,58 @@ TEST(ExactIndexTest, FilterRestrictsCandidates) {
       {1.0f, 0.0f}, {0.9f, 0.1f}, {0.0f, 1.0f}};
   serve::ExactIndex index(MatrixOf(vecs, 2));
   std::vector<char> allowed = {0, 1, 1};
-  auto top = index.SearchVec({1.0f, 0.0f}, 3, &allowed);
+  const float query[] = {1.0f, 0.0f};  // already unit length
+  auto top = index.Search(query, 3, &allowed);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].index, 1);
   EXPECT_EQ(top[1].index, 2);
 }
 
+/// `vecs` followed by a twin of every row with its upper half negated.
+/// Against a query whose upper half is zero a row and its twin score
+/// bit-identically, yet they point apart, so k-means files them in
+/// different cells: equal scores spread across probed lists.
+std::vector<std::vector<float>> WithTwins(
+    std::vector<std::vector<float>> vecs) {
+  const size_t n = vecs.size();
+  vecs.reserve(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<float> twin = vecs[i];
+    for (size_t d = twin.size() / 2; d < twin.size(); ++d) twin[d] = -twin[d];
+    vecs.push_back(std::move(twin));
+  }
+  return vecs;
+}
+
+/// Full-probe `approx` must return exactly `exact`'s top-7 — ids, order
+/// and scores — for 20 row queries and 20 row/twin tie queries.
+void ExpectMatchesExactWithTies(const serve::Index& approx,
+                                const serve::Index& exact,
+                                const std::vector<std::vector<float>>& vecs) {
+  util::Rng rng(123);
+  size_t ties = 0;
+  for (int q = 0; q < 40; ++q) {
+    std::vector<float> query = vecs[rng.UniformInt(vecs.size())];
+    if (q >= 20) {
+      std::fill(query.begin() + static_cast<std::ptrdiff_t>(query.size() / 2),
+                query.end(), 0.0f);
+    }
+    const auto want = exact.SearchVec(query, 7);
+    const auto got = approx.SearchVec(query, 7);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].index, want[i].index) << "query " << q << " rank "
+                                             << i;
+      EXPECT_DOUBLE_EQ(got[i].score, want[i].score);
+      if (i > 0 && want[i].score == want[i - 1].score) ++ties;
+    }
+  }
+  EXPECT_GT(ties, 0u) << "no equal scores: the tie-break went untested";
+}
+
 TEST(IvfIndexTest, FullProbeMatchesExactExactly) {
   const int dim = 12;
-  const auto vecs = ClusteredVectors(400, dim, 10, 99);
+  const auto vecs = WithTwins(ClusteredVectors(400, dim, 10, 99));
   auto matrix = MatrixOf(vecs, dim);
   serve::ExactIndex exact(matrix);
   serve::IvfOptions opts;
@@ -282,19 +326,7 @@ TEST(IvfIndexTest, FullProbeMatchesExactExactly) {
   opts.seed = 5;
   serve::IvfIndex ivf(matrix, opts);
   ivf.set_nprobe(ivf.nlist());  // probe everything ⇒ must equal exact
-
-  util::Rng rng(123);
-  for (int q = 0; q < 20; ++q) {
-    const auto& query = vecs[rng.UniformInt(vecs.size())];
-    const auto want = exact.SearchVec(query, 7);
-    const auto got = ivf.SearchVec(query, 7);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].index, want[i].index) << "query " << q << " rank "
-                                             << i;
-      EXPECT_DOUBLE_EQ(got[i].score, want[i].score);
-    }
-  }
+  ExpectMatchesExactWithTies(ivf, exact, vecs);
 }
 
 TEST(IvfIndexTest, RecallAt5IsAtLeast95Percent) {
@@ -320,30 +352,19 @@ TEST(IvfIndexTest, RecallAt5IsAtLeast95Percent) {
 
 TEST(IvfPqTest, FullProbeFullRerankMatchesExact) {
   const int dim = 12;
-  const auto vecs = ClusteredVectors(400, dim, 10, 99);
+  const auto vecs = WithTwins(ClusteredVectors(400, dim, 10, 99));
   auto matrix = MatrixOf(vecs, dim);
   serve::ExactIndex exact(matrix);
   serve::IvfOptions opts;
   opts.nlist = 16;
   opts.seed = 5;
   opts.pq_m = 4;
-  opts.pq_rerank = 400;  // re-rank everything ⇒ ADC error cannot matter
+  // Re-rank everything ⇒ ADC error cannot matter.
+  opts.pq_rerank = vecs.size();
   serve::IvfIndex pq(matrix, opts);
   ASSERT_TRUE(pq.pq_enabled());
   pq.set_nprobe(pq.nlist());
-
-  util::Rng rng(123);
-  for (int q = 0; q < 20; ++q) {
-    const auto& query = vecs[rng.UniformInt(vecs.size())];
-    const auto want = exact.SearchVec(query, 7);
-    const auto got = pq.SearchVec(query, 7);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].index, want[i].index) << "query " << q << " rank "
-                                             << i;
-      EXPECT_DOUBLE_EQ(got[i].score, want[i].score);
-    }
-  }
+  ExpectMatchesExactWithTies(pq, exact, vecs);
 }
 
 TEST(IvfPqTest, CompressedRecallClearsFloor) {

@@ -87,6 +87,16 @@ case "$mode" in
     post "$port" '{"label": "q:0", "k": 3}' | tee "$tmp_dir/q1.json"
     grep -q '"matches"' "$tmp_dir/q1.json"
     post "$port" '{"labels": ["q:0", "q:1"], "k": 3}' | grep -q '"results"'
+    # A vector component that overflows float (inf after the cast) must be
+    # rejected with 400, not answered with NaN scores.
+    dim=$(curl -sf "http://127.0.0.1:$port/v1/stats" \
+      | python3 -c 'import json, sys; print(json.load(sys.stdin)["dim"])')
+    body='{"vector": [1e400'
+    for ((i = 1; i < dim; i++)); do body+=', 0'; done
+    body+='], "k": 3}'
+    status=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+      "http://127.0.0.1:$port/v1/query" -d "$body")
+    [ "$status" = 400 ] || fail "overflowing vector got $status, want 400"
     cp "$snapshot" "$tmp_dir/reload.tds"
     curl -sf -X POST "http://127.0.0.1:$port/v1/reload" \
       -d "{\"snapshot\": \"$tmp_dir/reload.tds\"}" \
