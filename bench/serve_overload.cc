@@ -1,14 +1,12 @@
 // Serving overload benchmark: offered load past saturation over real
-// HTTP, and deterministic models of the admission gate and the result
-// cache.
+// HTTP, and a deterministic model of the admission gate.
 //
 // Row classes (tools/check_bench.py):
 //   * qps / *_ms rows are timings — never value-compared, gated only
 //     through the per-scenario wall-time aggregate;
-//   * `shed_rate` and `cache_hit_rate` rows are exact-gated: they come
-//     from seeded simulations of the real AdmissionController /
-//     ResultCache — pure functions of (seed, grid), so any drift is a
-//     behavior change, not noise.
+//   * `shed_rate` rows are exact-gated: they come from a deterministic
+//     replay of the real AdmissionController — a pure function of the
+//     grid, so any drift is a behavior change, not noise.
 
 #include <algorithm>
 #include <atomic>
@@ -23,7 +21,6 @@
 #include "serve/http/client.h"
 #include "serve/http/server.h"
 #include "serve/http/service.h"
-#include "serve/result_cache.h"
 #include "serve/snapshot.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -188,7 +185,7 @@ void RunOverload(bench::BenchReporter& rep, const bench::BenchOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// AdmissionModel / CacheModel: deterministic, exact-gated rates
+// AdmissionModel: deterministic, exact-gated rates
 // ---------------------------------------------------------------------------
 
 void RunAdmissionModel(bench::BenchReporter& rep,
@@ -223,58 +220,14 @@ void RunAdmissionModel(bench::BenchReporter& rep,
   }
 }
 
-void RunCacheModel(bench::BenchReporter& rep,
-                   const bench::BenchOptions& opts) {
-  if (!opts.Matches("CacheModel")) return;
-  const char* scenario = "CacheModel";
-  const uint64_t seed = opts.seed == 0 ? 7 : opts.seed;
-  rep.Printf("\nResult-cache model (seeded key stream, capacity sweep):\n");
-  rep.Printf("%-22s %-16s %-10s\n", "config", "cache_hit_rate",
-             "evictions");
-  struct Grid { size_t entries, keyspace; };
-  for (const Grid g :
-       {Grid{64, 64}, Grid{64, 256}, Grid{256, 1024}}) {
-    serve::ResultCache cache(serve::ResultCacheOptions{g.entries, 8});
-    // Clustered popularity: half the lookups hit an 8x smaller hot set,
-    // the shape a result cache exists for. Seeded, so the hit rate is a
-    // pure function of (seed, grid) and exact-gated in CI.
-    util::Rng rng(seed + 1);
-    const size_t lookups = 20000;
-    util::StopWatch watch;
-    for (size_t i = 0; i < lookups; ++i) {
-      const size_t universe =
-          rng.UniformInt(2) == 0 ? std::max<size_t>(1, g.keyspace / 8)
-                                 : g.keyspace;
-      const std::string key =
-          "q" + std::to_string(rng.UniformInt(universe)) + "|k=5|m=a|np=4";
-      std::string body;
-      if (!cache.Get(key, 1, &body)) {
-        cache.Put(key, 1, "{\"matches\":[]}");
-      }
-    }
-    const double hit_rate =
-        static_cast<double>(cache.hits()) /
-        static_cast<double>(cache.hits() + cache.misses());
-    const std::string param = "entries=" + std::to_string(g.entries) +
-                              ",keys=" + std::to_string(g.keyspace);
-    rep.Add(scenario, param, "cache_hit_rate", hit_rate,
-            watch.ElapsedSeconds());
-    rep.Add(scenario, param, "evictions",
-            static_cast<double>(cache.evictions()), 0.0);
-    rep.Printf("%-22s %-16.4f %-10zu\n", param.c_str(), hit_rate,
-               static_cast<size_t>(cache.evictions()));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::BenchOptions opts = bench::ParseArgsOrExit(argc, argv);
   bench::BenchReporter rep("serve_overload", opts);
   rep.Note("Serving overload: offered load past saturation, "
-           "deterministic admission + cache models");
+           "deterministic admission model");
   RunOverload(rep, opts);
   RunAdmissionModel(rep, opts);
-  RunCacheModel(rep, opts);
   return rep.Finish() ? 0 : 1;
 }

@@ -33,36 +33,5 @@ int AdmissionController::RetryAfterSeconds(double typical_ms) const {
   return s;
 }
 
-NprobeTuner::NprobeTuner(NprobeTunerOptions options) : options_(options) {
-  if (options_.min_nprobe < 1) options_.min_nprobe = 1;
-  if (options_.max_nprobe < options_.min_nprobe) {
-    options_.max_nprobe = options_.min_nprobe;
-  }
-  size_t start = options_.initial_nprobe;
-  if (start < options_.min_nprobe) start = options_.min_nprobe;
-  if (start > options_.max_nprobe) start = options_.max_nprobe;
-  nprobe_.store(start, std::memory_order_relaxed);
-  if (options_.window == 0) options_.window = 1;
-}
-
-void NprobeTuner::Observe(double p99_ms) {
-  if (!enabled()) return;
-  const uint64_t n = observed_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n % options_.window != 0) return;
-  const size_t cur = nprobe_.load(std::memory_order_relaxed);
-  size_t next = cur;
-  if (p99_ms > options_.budget_ms) {
-    next = cur / 2;  // multiplicative decrease
-    if (next < options_.min_nprobe) next = options_.min_nprobe;
-  } else if (p99_ms <= options_.budget_ms * 0.5 &&
-             cur < options_.max_nprobe) {
-    next = cur + 1;  // additive increase
-  }
-  if (next != cur) {
-    nprobe_.store(next, std::memory_order_relaxed);
-    adjustments_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace serve
 }  // namespace tdmatch

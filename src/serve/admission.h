@@ -87,56 +87,6 @@ class AdmissionController {
   std::atomic<uint64_t> shed_{0};
 };
 
-struct NprobeTunerOptions {
-  /// p99 latency target in milliseconds; <= 0 disables tuning.
-  double budget_ms = 0.0;
-  size_t min_nprobe = 1;
-  /// Ceiling — the serving layer passes the engine's IVF nlist.
-  size_t max_nprobe = 64;
-  size_t initial_nprobe = 4;
-  /// Observations between adjustments. One window must contain enough
-  /// queries for the histogram p99 to move before the next decision.
-  uint64_t window = 64;
-};
-
-/// \brief AIMD auto-tuner for the IVF nprobe knob against a p99 budget.
-///
-/// The serving loop feeds each query's current histogram p99
-/// (LatencyHistogram::PercentileMs(0.99)); once per window the tuner
-/// reacts: over budget ⇒ halve nprobe (fast multiplicative backoff —
-/// latency is what pages people), under half the budget ⇒ +1 (slow
-/// additive recovery of recall headroom). In between it holds. The current
-/// value is a relaxed atomic the query path reads per request; no locks
-/// anywhere.
-class NprobeTuner {
- public:
-  explicit NprobeTuner(NprobeTunerOptions options = {});
-
-  bool enabled() const { return options_.budget_ms > 0.0; }
-
-  /// The nprobe the next query should use.
-  size_t nprobe() const { return nprobe_.load(std::memory_order_relaxed); }
-
-  /// Feed the current p99 estimate; at window boundaries this adjusts
-  /// nprobe. Safe from concurrent threads (a race can at worst run two
-  /// adjustments on one window — both read consistent atomics).
-  void Observe(double p99_ms);
-
-  uint64_t observed() const {
-    return observed_.load(std::memory_order_relaxed);
-  }
-  uint64_t adjustments() const {
-    return adjustments_.load(std::memory_order_relaxed);
-  }
-  const NprobeTunerOptions& options() const { return options_; }
-
- private:
-  NprobeTunerOptions options_;
-  std::atomic<size_t> nprobe_{1};
-  std::atomic<uint64_t> observed_{0};
-  std::atomic<uint64_t> adjustments_{0};
-};
-
 }  // namespace serve
 }  // namespace tdmatch
 

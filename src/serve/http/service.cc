@@ -1,7 +1,6 @@
 #include "serve/http/service.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -42,22 +41,6 @@ HttpResponse ErrorResponse(const util::Status& status) {
   return ErrorResponse(StatusToHttp(status), status.ToString());
 }
 
-/// `q:3` / `c:7` → the snapshot's metadata-doc labels, using the prefixes
-/// recorded in the snapshot meta (the same shorthand the REPL speaks).
-/// Anything else passes through untouched.
-std::string ResolveLabel(const std::string& raw, const SnapshotMeta& meta) {
-  if (raw.size() < 3 || (raw[0] != 'q' && raw[0] != 'c') || raw[1] != ':') {
-    return raw;
-  }
-  for (size_t i = 2; i < raw.size(); ++i) {
-    if (std::isdigit(static_cast<unsigned char>(raw[i])) == 0) return raw;
-  }
-  std::string prefix =
-      meta.Find(raw[0] == 'q' ? "query_prefix" : "candidate_prefix");
-  if (prefix.empty()) prefix = raw[0] == 'q' ? "__D0:" : "__D1:";
-  return prefix + raw.substr(2) + "__";
-}
-
 void AppendMatches(const std::vector<ScoredMatch>& matches,
                    util::JsonWriter* w) {
   w->Key("matches").BeginArray();
@@ -90,14 +73,13 @@ std::string CompilerId() {
 // ---------------------------------------------------------------------------
 
 const char* const MatchService::kStageNames[MatchService::kStages] = {
-    "parse", "cache", "admission", "search", "serialize"};
+    "parse", "admission", "search", "serialize"};
 
 MatchService::MatchService(ServiceOptions options)
     : options_(std::move(options)),
       start_time_(std::chrono::steady_clock::now()),
       sampler_(options_.trace_sample),
-      admission_(AdmissionOptions{options_.max_inflight, 1, 30}),
-      cache_(ResultCacheOptions{options_.cache_entries, 8}) {
+      admission_(AdmissionOptions{options_.max_inflight, 1, 30}) {
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
   } else {
@@ -108,10 +90,10 @@ MatchService::MatchService(ServiceOptions options)
                                        : &util::obs::JsonLogger::Global();
 
   // Owned instruments: the hot path bumps these directly (one relaxed
-  // atomic per event); /v1/stats and /v1/metrics read them back.
+  // atomic per event); /v1/metrics reads them back.
   queries_ = registry_->GetCounter("tdmatch_queries_total",
                                    "Queries answered (batch items count "
-                                   "individually; includes cache hits)");
+                                   "individually)");
   errors_ = registry_->GetCounter("tdmatch_query_errors_total",
                                   "Requests or batch items rejected or "
                                   "failed");
@@ -133,9 +115,9 @@ MatchService::MatchService(ServiceOptions options)
         {{"stage", kStageNames[i]}});
   }
 
-  // Components that keep their own counters (admission, cache, tuner)
-  // publish through render-time callbacks: the registry is the single
-  // exposition surface without double-counting state.
+  // The admission controller keeps its own counters and publishes them
+  // through render-time callbacks: the registry is the single exposition
+  // surface without double-counting state.
   using util::obs::MetricType;
   registry_->RegisterCallback(
       MetricType::kCounter, "tdmatch_admission_admitted_total",
@@ -155,35 +137,6 @@ MatchService::MatchService(ServiceOptions options)
         return admission_.unlimited()
                    ? -1.0
                    : static_cast<double>(admission_.options().max_inflight);
-      });
-  registry_->RegisterCallback(
-      MetricType::kCounter, "tdmatch_cache_hits_total",
-      "Result-cache hits", {},
-      [this] { return static_cast<double>(cache_.hits()); });
-  registry_->RegisterCallback(
-      MetricType::kCounter, "tdmatch_cache_misses_total",
-      "Result-cache misses", {},
-      [this] { return static_cast<double>(cache_.misses()); });
-  registry_->RegisterCallback(
-      MetricType::kCounter, "tdmatch_cache_evictions_total",
-      "Result-cache LRU evictions", {},
-      [this] { return static_cast<double>(cache_.evictions()); });
-  registry_->RegisterCallback(
-      MetricType::kGauge, "tdmatch_cache_entries",
-      "Resident result-cache entries", {},
-      [this] { return static_cast<double>(cache_.size()); });
-  registry_->RegisterCallback(
-      MetricType::kGauge, "tdmatch_autotune_nprobe",
-      "Current auto-tuned IVF nprobe (0 = tuner off)", {}, [this] {
-        return tuner_ != nullptr ? static_cast<double>(tuner_->nprobe())
-                                 : 0.0;
-      });
-  registry_->RegisterCallback(
-      MetricType::kCounter, "tdmatch_autotune_adjustments_total",
-      "AIMD nprobe adjustments made by the latency-budget tuner", {},
-      [this] {
-        return tuner_ != nullptr ? static_cast<double>(tuner_->adjustments())
-                                 : 0.0;
       });
   registry_->RegisterCallback(
       MetricType::kGauge, "tdmatch_snapshot_version",
@@ -279,54 +232,32 @@ util::Result<std::shared_ptr<const EngineState>> MatchService::BuildState(
 
 void MatchService::PublishStateMetrics(const EngineState& state) {
   // build_info: the conventional value-1 gauge whose labels carry the
-  // identity — compiler, runtime SIMD dispatch decision, snapshot format.
-  // Re-registered per epoch (the format can change across reloads);
-  // identity is otherwise process-constant.
+  // identity — compiler, runtime SIMD dispatch decision, and the served
+  // snapshot's format, scenario, candidate count, dim and index kind.
+  // Re-registered per epoch (a reload can change every snapshot label);
+  // the build identity is otherwise process-constant.
+  const QueryEngine& engine = *state.engine;
   registry_->ClearCallbacks("tdmatch_build_info");
   util::obs::LabelSet info = {
       {"compiler", CompilerId()},
       {"simd", simd::IsaName(simd::ActiveIsa())},
       {"forced_scalar", simd::ForcedScalarByEnv() ? "1" : "0"},
       {"snapshot_format", std::to_string(state.snapshot_format)},
+      {"scenario", engine.meta().scenario},
+      {"candidates", std::to_string(engine.num_candidates())},
+      {"dim", std::to_string(engine.dim())},
+      {"index", engine.has_ivf() ? "ivf" : "exact"},
   };
   registry_->RegisterCallback(util::obs::MetricType::kGauge,
                               "tdmatch_build_info",
                               "Build/runtime identity (always 1)", info,
                               [] { return 1.0; });
-
-  // Offline pipeline phase timers travel inside the snapshot meta
-  // (phase_<name>_seconds, written by build-snapshot); republish them so
-  // the serving scrape covers the offline half too.
-  registry_->ClearCallbacks("tdmatch_snapshot_phase_seconds");
-  for (const auto& [key, value] : state.engine->meta().extra) {
-    if (!util::StartsWith(key, "phase_") ||
-        !util::EndsWith(key, "_seconds")) {
-      continue;
-    }
-    const std::string phase =
-        key.substr(6, key.size() - 6 - std::strlen("_seconds"));
-    const double seconds = std::strtod(value.c_str(), nullptr);
-    registry_->RegisterCallback(
-        util::obs::MetricType::kGauge, "tdmatch_snapshot_phase_seconds",
-        "Offline pipeline phase timings recorded at snapshot build",
-        {{"phase", phase}}, [seconds] { return seconds; });
-  }
 }
 
 util::Status MatchService::LoadInitial(const std::string& snapshot_path) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   TDM_ASSIGN_OR_RETURN(std::shared_ptr<const EngineState> state,
                        BuildState(snapshot_path, 1));
-  // The tuner's ceiling is the loaded engine's nlist — probing more cells
-  // than exist buys nothing. Created once here (before serving starts);
-  // reloads clamp at use instead of resetting the tuner's learned
-  // position.
-  NprobeTunerOptions tuning;
-  tuning.budget_ms = options_.latency_budget_ms;
-  tuning.initial_nprobe = options_.engine.ivf.nprobe;
-  tuning.max_nprobe =
-      state->engine->has_ivf() ? state->engine->ivf_index()->nlist() : 1;
-  tuner_ = std::make_unique<NprobeTuner>(tuning);
   PublishStateMetrics(*state);
   std::atomic_store(&state_, std::move(state));
   if (options_.history_interval_s > 0) history_sampler_->Start();
@@ -354,10 +285,6 @@ util::Result<std::shared_ptr<const EngineState>> MatchService::Reload(
   PublishStateMetrics(*fresh);
   std::atomic_store(&state_, fresh);
   reloads_->Inc();
-  // Cached responses are stamped with the version they answered for (Get
-  // refuses a stale stamp on its own); clearing on swap also frees the
-  // dead epoch's bodies immediately.
-  cache_.Clear();
   return fresh;
 }
 
@@ -366,8 +293,6 @@ void MatchService::Register(HttpServer* server) {
                  [this](const HttpRequest& r) { return HandleQuery(r); });
   server->Handle("GET", "/v1/healthz",
                  [this](const HttpRequest& r) { return HandleHealth(r); });
-  server->Handle("GET", "/v1/stats",
-                 [this](const HttpRequest& r) { return HandleStats(r); });
   server->Handle("GET", "/v1/metrics",
                  [this](const HttpRequest& r) { return HandleMetrics(r); });
   server->Handle("GET", "/v1/metrics/history",
@@ -406,36 +331,32 @@ HttpResponse MatchService::HandleQuery(const HttpRequest& request) {
   // SLO accounting wraps the whole request: availability counts 5xx
   // against the budget (4xx is the client's fault, 429 is protection
   // working), latency counts end-to-end wall time against the configured
-  // budget. Shed and cache-hit requests count too — the user saw them.
+  // budget. Shed requests count too — the user saw them.
   util::StopWatch watch;
-  HttpResponse response = HandleQueryDispatch(request);
-  slo_->Record(NowSeconds(), response.status < 500,
-               options_.latency_budget_ms <= 0 ||
-                   watch.ElapsedMillis() <= options_.latency_budget_ms);
-  return response;
-}
-
-HttpResponse MatchService::HandleQueryDispatch(const HttpRequest& request) {
   // Trace decision up front: one sampler branch for the untraced fast
   // path. slow_query_ms arms tracing on every request (slowness is only
   // known after the fact), but emits a line solely for slow ones.
   const bool sampled = sampler_.ShouldSample();
   const bool traced = sampled || options_.slow_query_ms > 0.0;
   const std::string& client_id = request.Header("x-request-id");
+  HttpResponse response;
   if (!traced) {
-    HttpResponse response = HandleQueryTraced(request, nullptr);
+    response = HandleQueryTraced(request, nullptr);
     if (!client_id.empty()) {
       response.headers.emplace_back("X-Request-Id", client_id);
     }
-    return response;
+  } else {
+    util::obs::Trace trace(client_id.empty() ? util::obs::GenerateTraceId()
+                                             : client_id);
+    const std::shared_ptr<const EngineState> pinned = state();
+    response = HandleQueryTraced(request, &trace);
+    FinishRequestTrace(&trace, sampled, response.status,
+                       pinned != nullptr ? pinned->version : 0);
+    response.headers.emplace_back("X-Request-Id", trace.id());
   }
-  util::obs::Trace trace(client_id.empty() ? util::obs::GenerateTraceId()
-                                           : client_id);
-  const std::shared_ptr<const EngineState> pinned = state();
-  HttpResponse response = HandleQueryTraced(request, &trace);
-  FinishRequestTrace(&trace, sampled, response.status,
-                     pinned != nullptr ? pinned->version : 0);
-  response.headers.emplace_back("X-Request-Id", trace.id());
+  slo_->Record(NowSeconds(), response.status < 500,
+               options_.latency_budget_ms <= 0 ||
+                   watch.ElapsedMillis() <= options_.latency_budget_ms);
   return response;
 }
 
@@ -552,33 +473,7 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
     delay_ms = dv->number_value();
   }
 
-  // --- per-query nprobe from the latency-budget auto-tuner ----------------
-  size_t nprobe = 0;
-  if (tuner_ != nullptr && tuner_->enabled() &&
-      mode == SearchMode::kApprox && engine.has_ivf()) {
-    nprobe = std::max<size_t>(
-        1, std::min(tuner_->nprobe(), engine.ivf_index()->nlist()));
-  }
   parse_span.Close();
-
-  // --- result cache (single-label queries; the hot-query shape) -----------
-  // A hit is served before admission: it costs one striped-map lookup, no
-  // engine work, so shedding it would protect nothing.
-  std::string cache_key;
-  if (cache_.enabled() && label != nullptr && label->is_string() &&
-      allowed == nullptr) {
-    util::obs::Trace::Span cache_span(trace, "cache");
-    cache_key = util::StrFormat(
-        "%s|k=%zu|m=%c|np=%zu",
-        ResolveLabel(label->string_value(), engine.meta()).c_str(), k,
-        mode == SearchMode::kExact ? 'e' : 'a', nprobe);
-    std::string cached;
-    if (cache_.Get(cache_key, state->version, &cached)) {
-      queries_->Inc();
-      latency_->Observe(watch.ElapsedMillis());
-      return HttpResponse::Json(200, std::move(cached));
-    }
-  }
 
   // --- admission: shed instead of queueing past the in-flight budget ------
   util::obs::Trace::Span admission_span(trace, "admission");
@@ -619,7 +514,7 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
       names.push_back(ResolveLabel(item.string_value(), engine.meta()));
     }
     util::obs::Trace::Span search_span(trace, "search");
-    const auto results = engine.QueryBatch(names, k, mode, nprobe);
+    const auto results = engine.QueryBatch(names, k, mode);
     search_span.Close();
     queries_->Inc(names.size());
     util::obs::Trace::Span serialize_span(trace, "serialize");
@@ -664,7 +559,7 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
       result = engine.QueryFiltered(name, block, k);
     } else {
       util::obs::Trace::Span search_span(trace, "search");
-      result = engine.Query(name, k, mode, nprobe);
+      result = engine.Query(name, k, mode);
     }
     queries_->Inc();
     if (!result.ok()) {
@@ -692,7 +587,7 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
       q.push_back(static_cast<float>(item.number_value()));
     }
     util::obs::Trace::Span search_span(trace, "search");
-    const auto result = engine.QueryVector(q, k, mode, nprobe);
+    const auto result = engine.QueryVector(q, k, mode);
     search_span.Close();
     queries_->Inc();
     if (!result.ok()) {
@@ -707,12 +602,7 @@ HttpResponse MatchService::HandleQueryTraced(const HttpRequest& request,
   w.EndObject();
   std::string body = w.str();
   finish_span.Close();
-  if (!cache_key.empty()) cache_.Put(cache_key, state->version, body);
   latency_->Observe(watch.ElapsedMillis());
-  // Feed the tuner after recording: it reacts to the p99 including this
-  // query. Cache hits and shed requests never reach here — the tuner only
-  // learns from queries the engine actually executed.
-  if (tuner_ != nullptr) tuner_->Observe(latency_->Percentile(0.99));
   return HttpResponse::Json(200, std::move(body));
 }
 
@@ -906,89 +796,6 @@ HttpResponse MatchService::HandleMetrics(const HttpRequest&) {
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   response.body = registry_->RenderPrometheus();
   return response;
-}
-
-HttpResponse MatchService::HandleStats(const HttpRequest&) {
-  const std::shared_ptr<const EngineState> state = this->state();
-  if (state == nullptr) {
-    return ErrorResponse(503, "no snapshot loaded");
-  }
-  const QueryEngine& engine = *state->engine;
-  const double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time_)
-          .count();
-  const uint64_t queries = queries_->Value();
-  const uint64_t cache_hits = cache_.hits();
-  const uint64_t cache_lookups = cache_hits + cache_.misses();
-  util::JsonWriter w;
-  w.BeginObject()
-      .Key("snapshot_version").Value(state->version)
-      .Key("snapshot_path").Value(state->snapshot_path)
-      .Key("scenario").Value(engine.meta().scenario)
-      .Key("load_seconds").Value(state->load_seconds)
-      .Key("candidates").Value(static_cast<uint64_t>(
-          engine.num_candidates()))
-      .Key("dim").Value(static_cast<int64_t>(engine.dim()))
-      .Key("index").Value(engine.has_ivf() ? "ivf+exact" : "exact")
-      .Key("uptime_seconds").Value(uptime)
-      .Key("queries").Value(queries)
-      .Key("errors").Value(errors_->Value())
-      .Key("reloads").Value(reloads_->Value())
-      .Key("qps").Value(uptime > 0
-                            ? static_cast<double>(queries) / uptime
-                            : 0.0)
-      .Key("latency_ms").BeginObject()
-      .Key("count").Value(latency_->count())
-      .Key("p50").Value(latency_->Percentile(0.50))
-      .Key("p90").Value(latency_->Percentile(0.90))
-      .Key("p99").Value(latency_->Percentile(0.99))
-      .EndObject()
-      // max_inflight: -1 encodes "unlimited" (SIZE_MAX is not a JSON-safe
-      // integer).
-      .Key("admission").BeginObject()
-      .Key("max_inflight").Value(
-          admission_.unlimited()
-              ? int64_t{-1}
-              : static_cast<int64_t>(admission_.options().max_inflight))
-      .Key("inflight").Value(static_cast<uint64_t>(admission_.inflight()))
-      .Key("admitted").Value(admission_.admitted())
-      .Key("shed").Value(admission_.shed())
-      .EndObject()
-      .Key("cache").BeginObject()
-      .Key("enabled").Value(cache_.enabled())
-      .Key("entries").Value(static_cast<uint64_t>(cache_.size()))
-      .Key("hits").Value(cache_hits)
-      .Key("misses").Value(cache_.misses())
-      .Key("evictions").Value(cache_.evictions())
-      .Key("hit_rate").Value(cache_lookups > 0
-                                 ? static_cast<double>(cache_hits) /
-                                       static_cast<double>(cache_lookups)
-                                 : 0.0)
-      .EndObject()
-      .Key("autotune").BeginObject()
-      .Key("enabled").Value(tuner_ != nullptr && tuner_->enabled())
-      .Key("budget_ms").Value(options_.latency_budget_ms)
-      .Key("nprobe").Value(static_cast<uint64_t>(
-          tuner_ != nullptr ? tuner_->nprobe() : 0))
-      .Key("adjustments").Value(tuner_ != nullptr ? tuner_->adjustments()
-                                                  : uint64_t{0})
-      .EndObject()
-      .Key("tracing").BeginObject()
-      .Key("sample").Value(options_.trace_sample)
-      .Key("slow_query_ms").Value(options_.slow_query_ms)
-      .Key("traced").Value(traces_->Value())
-      .Key("slow").Value(slow_queries_->Value())
-      .EndObject()
-      .Key("build").BeginObject()
-      .Key("compiler").Value(CompilerId())
-      .Key("simd").Value(simd::IsaName(simd::ActiveIsa()))
-      .Key("forced_scalar").Value(simd::ForcedScalarByEnv())
-      .Key("snapshot_format").Value(static_cast<uint64_t>(
-          state->snapshot_format))
-      .EndObject()
-      .EndObject();
-  return HttpResponse::Json(200, w.str());
 }
 
 HttpResponse MatchService::HandleReload(const HttpRequest& request) {

@@ -12,7 +12,6 @@
 #include "serve/http/http.h"
 #include "serve/http/server.h"
 #include "serve/query_engine.h"
-#include "serve/result_cache.h"
 #include "util/obs/jsonlog.h"
 #include "util/obs/metrics.h"
 #include "util/obs/profiler.h"
@@ -47,11 +46,9 @@ struct ServiceOptions {
   /// Admission budget for /v1/query: requests past this many in flight
   /// get 429 + Retry-After. SIZE_MAX never sheds; 0 sheds everything.
   size_t max_inflight = std::numeric_limits<size_t>::max();
-  /// p99 latency budget (ms) the nprobe auto-tuner steers approx queries
-  /// toward; <= 0 disables tuning.
+  /// Latency SLO threshold (ms): a /v1/query request slower than this
+  /// burns latency error budget. <= 0 turns the latency objective off.
   double latency_budget_ms = 0.0;
-  /// LRU result-cache capacity in responses; 0 disables the cache.
-  size_t cache_entries = 0;
   /// Honor a debug "delay_ms" field on /v1/query (sleeps inside the
   /// admission window). Only for tests/CI: it makes in-flight overlap —
   /// and therefore 429s — deterministic under a flood.
@@ -89,8 +86,7 @@ struct ServiceOptions {
   /// Availability SLO target (fraction of requests that are not 5xx).
   double slo_availability_target = 0.999;
   /// Latency SLO target: this fraction of requests must finish within
-  /// latency_budget_ms. Tracked only when latency_budget_ms > 0 (the
-  /// budget doubles as the objective threshold).
+  /// latency_budget_ms. Tracked only when latency_budget_ms > 0.
   double slo_latency_target = 0.999;
   /// Fast pair drives /v1/healthz "degraded"; slow pair is report-only.
   util::obs::SloWindowPair slo_fast{60.0, 600.0, 14.4};
@@ -106,20 +102,24 @@ struct ServiceOptions {
 ///                     "mode" ("approx"/"exact"), and — single-label
 ///                     only — a blocking filter {"allowed": [...]}
 ///                     mirroring QueryEngine::QueryFiltered.
-///   GET  /v1/healthz  liveness + current snapshot version
-///   GET  /v1/stats    counters, qps, latency percentiles, snapshot id
-///   GET  /v1/metrics  Prometheus text exposition of the same registry
+///   GET  /v1/healthz  liveness + current snapshot version (+ SLO state)
+///   GET  /v1/metrics  Prometheus text exposition of the registry
+///   GET  /v1/metrics/history, GET /v1/slo, GET /v1/debug/profile
 ///   POST /v1/reload   atomically swap in a new snapshot (optional
 ///                     {"snapshot": path}; defaults to re-reading the
 ///                     current path)
 ///
 /// Every service counter lives in an obs::Registry (striped counters,
-/// one relaxed atomic bump on the hot path); /v1/stats and /v1/metrics
-/// are two renderings of the same data. A request that wins the trace
+/// one relaxed atomic bump on the hot path), and /v1/metrics is its one
+/// rendering; the served snapshot's identity (scenario, candidates, dim,
+/// index) rides as labels on tdmatch_build_info. HandleQuery records the
+/// SLO outcome and makes the trace decision; HandleQueryTraced runs
+/// parse → admission → search → serialize. A request that wins the trace
 /// sample (or any request when --slow-query-ms is set) carries an
-/// obs::Trace whose spans — parse, cache, admission, search, serialize —
-/// aggregate into per-stage histograms and emit one JSONL line. Untraced requests pay one branch per would-be span; tracing is
-/// read-only on results (exact-mode bodies stay bit-identical).
+/// obs::Trace whose spans aggregate into per-stage histograms and emit
+/// one JSONL line. Untraced requests pay one branch per would-be span;
+/// tracing is read-only on results (exact-mode bodies stay
+/// bit-identical).
 ///
 /// Hot reload is an RCU epoch swap: every request pins the current
 /// EngineState via a shared_ptr read with std::atomic_load, reload builds
@@ -153,7 +153,6 @@ class MatchService {
   // Endpoint handlers (exposed for in-process tests).
   HttpResponse HandleQuery(const HttpRequest& request);
   HttpResponse HandleHealth(const HttpRequest& request);
-  HttpResponse HandleStats(const HttpRequest& request);
   HttpResponse HandleMetrics(const HttpRequest& request);
   HttpResponse HandleReload(const HttpRequest& request);
   HttpResponse HandleHistory(const HttpRequest& request);
@@ -162,9 +161,6 @@ class MatchService {
 
   const ServiceOptions& options() const { return options_; }
   const AdmissionController& admission() const { return admission_; }
-  const ResultCache& cache() const { return cache_; }
-  /// Null until LoadInitial; disabled unless latency_budget_ms > 0.
-  const NprobeTuner* tuner() const { return tuner_.get(); }
   /// The registry this service publishes into (its own unless injected).
   util::obs::Registry* registry() const { return registry_; }
   /// Metric-history rings (never null). The background sampler runs only
@@ -181,15 +177,12 @@ class MatchService {
   /// The traced body of HandleQuery (`trace` may be null).
   HttpResponse HandleQueryTraced(const HttpRequest& request,
                                  util::obs::Trace* trace);
-  /// Trace-decision dispatch (the pre-SLO body of HandleQuery).
-  HttpResponse HandleQueryDispatch(const HttpRequest& request);
   /// Seconds on the steady clock — the SLO tracker's time base.
   static double NowSeconds();
   /// Stage histograms + the JSONL trace/slow-query line.
   void FinishRequestTrace(util::obs::Trace* trace, bool sampled, int status,
                           uint64_t snapshot_version);
-  /// Registers/refreshes the state-dependent callback metrics
-  /// (build_info labels, snapshot phase gauges) for `state`.
+  /// Re-registers tdmatch_build_info with `state`'s identity labels.
   void PublishStateMetrics(const EngineState& state);
 
   ServiceOptions options_;
@@ -213,14 +206,12 @@ class MatchService {
   util::obs::Counter* slow_queries_ = nullptr;
   util::obs::Histogram* latency_ = nullptr;
   /// Per-stage latency histograms, parallel to kStageNames.
-  static constexpr size_t kStages = 5;
+  static constexpr size_t kStages = 4;
   static const char* const kStageNames[kStages];
   util::obs::Histogram* stage_latency_[kStages] = {};
 
   util::obs::TraceSampler sampler_;
   AdmissionController admission_;
-  ResultCache cache_;
-  std::unique_ptr<NprobeTuner> tuner_;
 
   std::unique_ptr<util::obs::TimeSeriesStore> history_;
   std::unique_ptr<util::obs::TimeSeriesSampler> history_sampler_;

@@ -148,18 +148,11 @@ size_t IvfIndex::ListBytes() const {
 
 std::vector<match::Match> IvfIndex::Search(const float* query,
                                            size_t k) const {
-  return SearchWithNprobe(query, k, nprobe_);
-}
-
-std::vector<match::Match> IvfIndex::SearchWithNprobe(const float* query,
-                                                     size_t k,
-                                                     size_t nprobe) const {
   const size_t d = static_cast<size_t>(data_->dim());
   if (data_->size() == 0 || k == 0) return {};
-  nprobe = std::max<size_t>(1, std::min(nprobe, nlist_));
 
   // Coarse quantizer: nearest nprobe cells by centroid dot product.
-  match::TopKCollector cells(nprobe);
+  match::TopKCollector cells(nprobe_);
   for (size_t c = 0; c < nlist_; ++c) {
     cells.Push(static_cast<int32_t>(c),
                simd::Dot(query, centroids_.data() + c * d, d));

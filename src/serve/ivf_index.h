@@ -92,13 +92,6 @@ class IvfIndex : public Index {
   std::vector<match::Match> Search(const float* query,
                                    size_t k) const override;
 
-  /// Search with an explicit probe count (clamped to [1, nlist]) instead
-  /// of the stored nprobe. Const and thread-safe: this is the per-query
-  /// recall/latency override the serving auto-tuner drives, usable while
-  /// other threads query concurrently (unlike set_nprobe).
-  std::vector<match::Match> SearchWithNprobe(const float* query, size_t k,
-                                             size_t nprobe) const;
-
   /// The recall knob; clamped to [1, nlist]. Safe between queries, not
   /// concurrently with them.
   void set_nprobe(size_t nprobe);
@@ -138,7 +131,7 @@ class IvfIndex : public Index {
   /// Trains the per-subspace codebooks and fills `codes` (n × pq_m, in
   /// candidate-id order) from the trainer's final assignments.
   void TrainPq(std::vector<uint8_t>* codes);
-  /// The list scans behind SearchWithNprobe over the `probes` cells,
+  /// The list scans behind Search over the `probes` cells,
   /// which hold `members` candidates in total.
   std::vector<match::Match> SearchFlat(
       const float* query, size_t k, const std::vector<match::Match>& probes,

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "util/crc32.h"
-#include "util/logging.h"
+#include "util/obs/jsonlog.h"
 #include "util/string_util.h"
 
 namespace tdmatch {
@@ -88,8 +88,9 @@ util::Status QueryEngine::FinishBuild(QueryEngineOptions options) {
           ivf_ = std::move(loaded).ValueOrDie();
           ivf_from_snapshot_ = true;
         } else {
-          TDM_LOG(Warning) << "ignoring snapshot index section: "
-                           << loaded.status().ToString();
+          util::obs::JsonLogger::Global()
+              .Log(util::obs::LogLevel::kWarn, "ivf_section_ignored")
+              .Str("reason", loaded.status().ToString());
         }
       }
     }
@@ -137,8 +138,7 @@ std::vector<ScoredMatch> QueryEngine::ToScored(
 }
 
 util::Result<std::vector<ScoredMatch>> QueryEngine::QueryVector(
-    const std::vector<float>& vec, size_t k, SearchMode mode,
-    size_t nprobe) const {
+    const std::vector<float>& vec, size_t k, SearchMode mode) const {
   if (vec.size() != static_cast<size_t>(dim())) {
     return util::Status::InvalidArgument(
         util::StrFormat("query vector has dim %zu, snapshot dim is %d",
@@ -153,7 +153,7 @@ util::Result<std::vector<ScoredMatch>> QueryEngine::QueryVector(
     }
   }
   if (k == 0) k = options_.default_k;
-  return SearchNormalized(vec.data(), k, mode, nprobe);
+  return SearchNormalized(vec.data(), k, mode);
 }
 
 const float* QueryEngine::LookupVector(const std::string& label,
@@ -171,29 +171,27 @@ const float* QueryEngine::LookupVector(const std::string& label,
 }
 
 std::vector<ScoredMatch> QueryEngine::SearchNormalized(
-    const float* vec, size_t k, SearchMode mode, size_t nprobe,
+    const float* vec, size_t k, SearchMode mode,
     const std::vector<char>* allowed) const {
   // One copy total (the normalization scratch) — the same cost the
   // pre-mmap code paid through Index::SearchVec.
   std::vector<float> q(vec, vec + static_cast<size_t>(matrix_->dim()));
   NormalizeSlice(q.data(), matrix_->dim());
   if (mode == SearchMode::kApprox && ivf_ != nullptr) {
-    return ToScored(ivf_->SearchWithNprobe(
-        q.data(), k, nprobe > 0 ? nprobe : ivf_->nprobe()));
+    return ToScored(ivf_->Search(q.data(), k));
   }
   return ToScored(exact_->Search(q.data(), k, allowed));
 }
 
 util::Result<std::vector<ScoredMatch>> QueryEngine::Query(
-    const std::string& label, size_t k, SearchMode mode,
-    size_t nprobe) const {
+    const std::string& label, size_t k, SearchMode mode) const {
   std::vector<float> scratch;
   const float* vec = LookupVector(label, &scratch);
   if (vec == nullptr) {
     return util::Status::NotFound("no embedding for label '" + label + "'");
   }
   if (k == 0) k = options_.default_k;
-  return SearchNormalized(vec, k, mode, nprobe);
+  return SearchNormalized(vec, k, mode);
 }
 
 size_t QueryEngine::BuildMask(const std::vector<std::string>& allowed,
@@ -224,12 +222,12 @@ util::Result<std::vector<ScoredMatch>> QueryEngine::QueryFiltered(
   // only sees the nprobe probed cells, so a small allowed set (the blocker regime this API exists
   // for) could be missed entirely — and a blocked scan is O(|block|)
   // cheap anyway.
-  return SearchNormalized(vec, k, SearchMode::kExact, 0, &mask);
+  return SearchNormalized(vec, k, SearchMode::kExact, &mask);
 }
 
 std::vector<util::Result<std::vector<ScoredMatch>>> QueryEngine::QueryBatch(
-    const std::vector<std::string>& labels, size_t k, SearchMode mode,
-    size_t nprobe) const {
+    const std::vector<std::string>& labels, size_t k,
+    SearchMode mode) const {
   // Pre-size with per-slot placeholders, then let the shards overwrite
   // their ranges: no locking on the result vector, and the output order
   // never depends on the thread count.
@@ -239,7 +237,7 @@ std::vector<util::Result<std::vector<ScoredMatch>>> QueryEngine::QueryBatch(
   const size_t shards = std::min(options_.threads, n);
   if (pool_ == nullptr || shards <= 1) {
     for (size_t i = 0; i < n; ++i) {
-      results[i] = Query(labels[i], k, mode, nprobe);
+      results[i] = Query(labels[i], k, mode);
     }
     return results;
   }
@@ -259,9 +257,9 @@ std::vector<util::Result<std::vector<ScoredMatch>>> QueryEngine::QueryBatch(
   std::condition_variable done;
   for (const auto& range : ranges) {
     pool_->Submit([this, &labels, &results, &remaining, &mu, &done, range,
-                   k, mode, nprobe] {
+                   k, mode] {
       for (size_t i = range.first; i < range.second; ++i) {
-        results[i] = Query(labels[i], k, mode, nprobe);
+        results[i] = Query(labels[i], k, mode);
       }
       std::lock_guard<std::mutex> lock(mu);
       if (--remaining == 0) done.notify_all();

@@ -89,18 +89,15 @@ class QueryEngine {
       QueryEngineOptions options = {});
 
   /// Top-k for the embedding stored under `label` (k = 0 ⇒ default_k).
-  /// `nprobe` > 0 overrides the IVF probe count for this query only
-  /// (ignored in exact mode / without an IVF index) — the serving
-  /// latency-budget auto-tuner's hook.
   util::Result<std::vector<ScoredMatch>> Query(
       const std::string& label, size_t k = 0,
-      SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
+      SearchMode mode = SearchMode::kApprox) const;
 
   /// Top-k for a caller-provided vector. InvalidArgument unless it has
   /// table dim and every component is finite.
   util::Result<std::vector<ScoredMatch>> QueryVector(
       const std::vector<float>& vec, size_t k = 0,
-      SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
+      SearchMode mode = SearchMode::kApprox) const;
 
   /// Blocking-aware filtered query: only candidates whose label appears in
   /// `allowed` can be returned (labels not in the candidate set are
@@ -118,7 +115,7 @@ class QueryEngine {
   /// `options().threads` workers.
   std::vector<util::Result<std::vector<ScoredMatch>>> QueryBatch(
       const std::vector<std::string>& labels, size_t k = 0,
-      SearchMode mode = SearchMode::kApprox, size_t nprobe = 0) const;
+      SearchMode mode = SearchMode::kApprox) const;
 
   const SnapshotMeta& meta() const { return snapshot_.meta; }
   int dim() const { return snapshot_.table.dim(); }
@@ -172,10 +169,10 @@ class QueryEngine {
   const float* LookupVector(const std::string& label,
                             std::vector<float>* scratch) const;
   /// Normalizes a copy of `vec` (table dim) and searches the index `mode`
-  /// selects. A positive `nprobe` overrides the IVF probe count; `allowed`
-  /// masks candidates and only applies to the exact index.
+  /// selects. `allowed` masks candidates and only applies to the exact
+  /// index.
   std::vector<ScoredMatch> SearchNormalized(
-      const float* vec, size_t k, SearchMode mode, size_t nprobe,
+      const float* vec, size_t k, SearchMode mode,
       const std::vector<char>* allowed = nullptr) const;
 
   Snapshot snapshot_;

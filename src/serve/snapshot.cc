@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 
@@ -41,6 +42,19 @@ const std::string& SnapshotMeta::Find(const std::string& key) const {
     if (kv.first == key) return kv.second;
   }
   return kEmpty;
+}
+
+std::string ResolveLabel(const std::string& raw, const SnapshotMeta& meta) {
+  if (raw.size() < 3 || (raw[0] != 'q' && raw[0] != 'c') || raw[1] != ':') {
+    return raw;
+  }
+  for (size_t i = 2; i < raw.size(); ++i) {
+    if (std::isdigit(static_cast<unsigned char>(raw[i])) == 0) return raw;
+  }
+  std::string prefix =
+      meta.Find(raw[0] == 'q' ? "query_prefix" : "candidate_prefix");
+  if (prefix.empty()) prefix = raw[0] == 'q' ? "__D0:" : "__D1:";
+  return prefix + raw.substr(2) + "__";
 }
 
 util::Status SnapshotIo::Write(const embed::EmbeddingTable& table,

@@ -67,6 +67,14 @@ struct SnapshotMeta {
   }
 };
 
+/// The `q:<i>` / `c:<i>` shorthand for query / candidate doc i: a
+/// digits-only suffix maps to `<prefix><i>__`, with the prefixes recorded
+/// in the snapshot meta ("query_prefix", "candidate_prefix") and
+/// `__D0:` / `__D1:` when the meta has none. Anything else passes through
+/// untouched. The HTTP API, the REPL and batch mode all resolve labels
+/// through this one rule.
+std::string ResolveLabel(const std::string& raw, const SnapshotMeta& meta);
+
 /// A loaded snapshot: metadata plus the embedding table (labels keep their
 /// written order, vectors are bit-identical to what was saved) plus any
 /// named sections ((tag, bytes), written order preserved).

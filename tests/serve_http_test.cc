@@ -26,6 +26,7 @@
 #include "serve/mmap_snapshot.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
+#include "testing/metrics.h"
 #include "util/crc32.h"
 #include "util/json.h"
 #include "util/obs/jsonlog.h"
@@ -810,7 +811,7 @@ TEST(MatchServiceTest, RejectsNonFiniteQueryVectors) {
   std::remove(path.c_str());
 }
 
-TEST(MatchServiceTest, HealthStatsAndReloadEndpoints) {
+TEST(MatchServiceTest, HealthMetricsAndReloadEndpoints) {
   const std::string path_a = WriteGeometricSnapshot("svc_a.tds", 12, 0);
   const std::string path_b = WriteGeometricSnapshot("svc_b.tds", 12, 5);
   ServiceFixture fx(path_a);
@@ -859,30 +860,39 @@ TEST(MatchServiceTest, HealthStatsAndReloadEndpoints) {
                 ->number_value(),
             2.0);
 
+  // The registry is the one metrics surface: /v1/stats is gone.
   auto stats = client->Get("/v1/stats");
   ASSERT_TRUE(stats.ok());
-  auto sdoc = util::JsonParse(stats->body);
-  ASSERT_TRUE(sdoc.ok()) << stats->body;
-  EXPECT_EQ(sdoc->Find("snapshot_version")->number_value(), 2.0);
-  EXPECT_EQ(sdoc->Find("reloads")->number_value(), 1.0);
-  EXPECT_GE(sdoc->Find("queries")->number_value(), 3.0);
-  EXPECT_GE(sdoc->Find("errors")->number_value(), 1.0);
-  EXPECT_NE(sdoc->Find("latency_ms"), nullptr);
-  EXPECT_GE(sdoc->Find("latency_ms")->Find("p99")->number_value(),
-            sdoc->Find("latency_ms")->Find("p50")->number_value());
+  EXPECT_EQ(stats->status, 404) << stats->body;
+
+  auto metrics = client->Get("/v1/metrics");
+  ASSERT_TRUE(metrics.ok());
+  ASSERT_EQ(metrics->status, 200);
+  const std::string& text = metrics->body;
+  EXPECT_EQ(testutil::ScrapeValue(text, "tdmatch_snapshot_version"), 2.0);
+  EXPECT_EQ(testutil::ScrapeValue(text, "tdmatch_reloads_total"), 1.0);
+  EXPECT_GE(testutil::ScrapeValue(text, "tdmatch_queries_total"), 3.0);
+  EXPECT_GE(testutil::ScrapeValue(text, "tdmatch_query_errors_total"), 1.0);
+  // Every answered query landed in the latency histogram.
+  EXPECT_EQ(testutil::ScrapeValue(text, "tdmatch_request_latency_ms_count"),
+            3.0);
+  EXPECT_EQ(testutil::ScrapeValue(
+                text, "tdmatch_request_latency_ms_bucket{le=\"+Inf\"}"),
+            3.0);
+  // The served snapshot's identity follows the reload onto build_info.
+  const std::string info = testutil::ScrapeLine(text, "tdmatch_build_info");
+  for (const char* label :
+       {"scenario=\"geometry-shifted\"", "candidates=\"12\"", "dim=\"2\"",
+        "index=\"ivf\"", "snapshot_format=\"1\""}) {
+    EXPECT_NE(info.find(label), std::string::npos) << label << " in " << info;
+  }
 
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
 }
 
 TEST(MatchServiceTest, MetricsExpositionTracingAndRequestIds) {
-  // Snapshot carrying offline phase timers in its meta, the way
-  // build-snapshot records them.
-  serve::Snapshot snap = GeometricSnapshot(64);
-  snap.meta.Set("phase_train_seconds", "1.5");
-  snap.meta.Set("phase_walks_seconds", "0.25");
-  const std::string path = TempPath("svc_obs.tds");
-  ASSERT_TRUE(serve::SnapshotIo::Write(snap.table, snap.meta, path).ok());
+  const std::string path = WriteGeometricSnapshot("svc_obs.tds", 64, 0);
 
   ServiceOptions sopts;
   sopts.trace_sample = 1.0;  // trace every request
@@ -954,8 +964,7 @@ TEST(MatchServiceTest, MetricsExpositionTracingAndRequestIds) {
   EXPECT_GE(best_coverage, 0.9);
 
   // The exposition endpoint: valid text format covering the owned
-  // instruments, the component callbacks, build identity, and the
-  // republished offline phase timers.
+  // instruments, the admission callbacks and the build identity.
   auto m = client->Get("/v1/metrics");
   ASSERT_TRUE(m.ok());
   ASSERT_EQ(m->status, 200);
@@ -970,12 +979,8 @@ TEST(MatchServiceTest, MetricsExpositionTracingAndRequestIds) {
            "tdmatch_traces_total",
            "tdmatch_admission_admitted_total",
            "tdmatch_admission_shed_total",
-           "tdmatch_cache_hits_total",
-           "tdmatch_autotune_nprobe",
            "tdmatch_snapshot_version",
            "tdmatch_build_info{compiler=",
-           "tdmatch_snapshot_phase_seconds{phase=\"train\"} 1.5",
-           "tdmatch_snapshot_phase_seconds{phase=\"walks\"} 0.25",
        }) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
@@ -987,20 +992,14 @@ TEST(MatchServiceTest, MetricsExpositionTracingAndRequestIds) {
       text.c_str() + pos + counter_needle.size(), nullptr, 10);
   EXPECT_GE(queries, uint64_t{2 + kBatches * 64});
 
-  // /v1/stats mirrors the tracing and build identity blocks.
-  auto stats = client->Get("/v1/stats");
-  ASSERT_TRUE(stats.ok());
-  auto sdoc = util::JsonParse(stats->body);
-  ASSERT_TRUE(sdoc.ok()) << stats->body;
-  const util::JsonValue* tracing = sdoc->Find("tracing");
-  ASSERT_NE(tracing, nullptr);
-  EXPECT_EQ(tracing->Find("sample")->number_value(), 1.0);
-  EXPECT_GE(tracing->Find("traced")->number_value(),
-            static_cast<double>(kBatches));
-  const util::JsonValue* build = sdoc->Find("build");
-  ASSERT_NE(build, nullptr);
-  EXPECT_FALSE(build->Find("compiler")->string_value().empty());
-  EXPECT_FALSE(build->Find("simd")->string_value().empty());
+  // Every request above carried a trace; the build identity names a
+  // compiler and a SIMD dispatch decision.
+  EXPECT_GE(testutil::ScrapeValue(text, "tdmatch_traces_total"),
+            static_cast<double>(2 + kBatches));
+  const std::string info = testutil::ScrapeLine(text, "tdmatch_build_info");
+  EXPECT_EQ(info.find("compiler=\"\""), std::string::npos) << info;
+  EXPECT_EQ(info.find("simd=\"\""), std::string::npos) << info;
+  EXPECT_NE(info.find("simd=\""), std::string::npos) << info;
 
   std::remove(path.c_str());
 }
@@ -1026,11 +1025,11 @@ TEST(MatchServiceTest, SlowQueryLogArmsWithoutSampling) {
   EXPECT_TRUE(doc->Find("slow")->bool_value());
   EXPECT_FALSE(doc->Find("sampled")->bool_value());
 
-  auto stats = client->Get("/v1/stats");
-  ASSERT_TRUE(stats.ok());
-  auto sdoc = util::JsonParse(stats->body);
-  ASSERT_TRUE(sdoc.ok());
-  EXPECT_EQ(sdoc->Find("tracing")->Find("slow")->number_value(), 1.0);
+  auto metrics = client->Get("/v1/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(
+      testutil::ScrapeValue(metrics->body, "tdmatch_slow_queries_total"),
+      1.0);
 
   std::remove(path.c_str());
 }

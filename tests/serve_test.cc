@@ -17,6 +17,8 @@
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "util/crc32.h"
+#include "util/json.h"
+#include "util/obs/jsonlog.h"
 #include "util/rng.h"
 
 namespace tdmatch {
@@ -795,7 +797,20 @@ TEST(QueryEngineTest, FallsBackToTrainingOnStaleSection) {
                   .ok());
   auto snap = serve::SnapshotIo::Read(path);
   ASSERT_TRUE(snap.ok());
+  auto snap2 = serve::SnapshotIo::Read(path);
+  ASSERT_TRUE(snap2.ok());
+  serve::QueryEngineOptions no_adopt;
+  no_adopt.use_snapshot_index = false;
+  // The ignored section is reported as exactly one JsonLogger warn event;
+  // an engine told not to adopt has nothing to warn about.
+  util::obs::JsonLogger& log = util::obs::JsonLogger::Global();
+  std::vector<std::string> lines;
+  log.set_sink([&lines](const std::string& line) { lines.push_back(line); });
   auto engine = serve::QueryEngine::BuildForPrefix(std::move(*snap), "q");
+  auto opted_out = serve::QueryEngine::BuildForPrefix(std::move(*snap2), "c",
+                                                      no_adopt);
+  log.set_sink(nullptr);
+
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_FALSE(engine->ivf_from_snapshot());
   EXPECT_TRUE(engine->has_ivf());
@@ -804,15 +819,35 @@ TEST(QueryEngineTest, FallsBackToTrainingOnStaleSection) {
   EXPECT_EQ((*top)[0].label, "q3");
 
   // An engine told not to adopt trains even when the section matches.
-  auto snap2 = serve::SnapshotIo::Read(path);
-  ASSERT_TRUE(snap2.ok());
-  serve::QueryEngineOptions no_adopt;
-  no_adopt.use_snapshot_index = false;
-  auto opted_out = serve::QueryEngine::BuildForPrefix(std::move(*snap2), "c",
-                                                      no_adopt);
   ASSERT_TRUE(opted_out.ok());
   EXPECT_FALSE(opted_out->ivf_from_snapshot());
+
+  ASSERT_EQ(lines.size(), 1u);
+  auto doc = util::JsonParse(lines[0]);
+  ASSERT_TRUE(doc.ok()) << lines[0];
+  EXPECT_EQ(doc->Find("level")->string_value(), "warn");
+  EXPECT_EQ(doc->Find("event")->string_value(), "ivf_section_ignored");
+  EXPECT_FALSE(doc->Find("reason")->string_value().empty());
   std::remove(path.c_str());
+}
+
+TEST(ResolveLabelTest, DigitsOnlyShorthandUsesMetaPrefixes) {
+  serve::SnapshotMeta none;
+  EXPECT_EQ(serve::ResolveLabel("q:3", none), "__D0:3__");
+  EXPECT_EQ(serve::ResolveLabel("c:12", none), "__D1:12__");
+  serve::SnapshotMeta meta;
+  meta.Set("query_prefix", "q");
+  meta.Set("candidate_prefix", "c");
+  EXPECT_EQ(serve::ResolveLabel("q:3", meta), "q3__");
+  EXPECT_EQ(serve::ResolveLabel("c:0", meta), "c0__");
+  // Only digits count: no numeric parsing, so no exponent and the
+  // leading zeros stay.
+  EXPECT_EQ(serve::ResolveLabel("q:007", none), "__D0:007__");
+  EXPECT_EQ(serve::ResolveLabel("q:1e2", none), "q:1e2");
+  // Anything else passes through untouched.
+  for (const char* raw : {"", "q:", "x:3", "q3", "q:3 ", "__D0:3__"}) {
+    EXPECT_EQ(serve::ResolveLabel(raw, none), raw) << raw;
+  }
 }
 
 TEST(QueryEngineTest, QueryVectorValidatesDim) {

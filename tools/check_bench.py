@@ -31,10 +31,9 @@ the perf/quality regression gate:
   * every baseline row key must still be present (lost coverage fails).
 Timing-valued metrics (`*seconds*`, `*_ms`, `*qps`) are never
 value-compared — their cost shows up in the wall-time aggregate instead.
-Exactly-reproducible rates (`identity`, `shed_rate`, `cache_hit_rate`;
-serve_overload emits the last two) are compared symmetrically with a
-near-zero tolerance: they are pure functions of the seed, so any drift
-fails.
+Exactly-reproducible rates (`identity`, and serve_overload's
+`shed_rate`) are compared symmetrically with a near-zero tolerance: they
+are pure functions of the seed, so any drift fails.
 
 `--min-recall X` additionally enforces an absolute floor (no baseline
 needed): every `recall@K` row whose parameter names a PQ configuration
@@ -72,11 +71,11 @@ MEMORY_METRIC_RE = re.compile(r"_bytes$")
 # the per-scenario wall-time aggregate (or --min-threads-speedup), and
 # coverage gating still requires the rows to exist.
 TIMING_METRIC_RE = re.compile(r"seconds|_ms$|qps$|speedup$")
-# Exactly-reproducible rates: serve_overload's seeded admission/cache
-# simulations are pure functions of (seed, grid) — any change vs
-# baseline, in either direction, is a behavior change, gated with a
-# symmetric tolerance that only absorbs float formatting.
-EXACT_METRIC_RE = re.compile(r"^(identity|shed_rate|cache_hit_rate)$")
+# Exactly-reproducible rates: serve_overload's admission replay is a
+# pure function of its grid — any change vs baseline, in either
+# direction, is a behavior change, gated with a symmetric tolerance that
+# only absorbs float formatting.
+EXACT_METRIC_RE = re.compile(r"^(identity|shed_rate)$")
 EXACT_TOLERANCE = 1e-9
 
 

@@ -23,7 +23,7 @@ plus the repeatable assertions
   --history-min-delta NAME:V    fail unless NAME's delta is >= V
 
 Usage: check_metrics.py scrape.txt [--require tdmatch_queries_total]
-                                   [--min tdmatch_cache_hits_total:1]
+                                   [--min tdmatch_reloads_total:1]
        check_metrics.py history.json --history
                                    [--history-require tdmatch_queries_total]
                                    [--history-min-delta tdmatch_queries_total:6]

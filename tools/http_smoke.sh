@@ -7,7 +7,7 @@
 #   tools/http_smoke.sh <mode> <tdmatch_serve-binary> <snapshot.tds>
 #
 # Modes:
-#   basic      full endpoint tour: query, batch, hot reload, stats, and a
+#   basic      full endpoint tour: query, batch, hot reload, metrics, and a
 #              SIGTERM that must drain and exit 0; then 20 start -> healthz
 #              -> immediate SIGTERM cycles, each of which must also drain
 #              and exit 0 (the build-and-test leg).
@@ -15,7 +15,7 @@
 #              budget: sanitized startup is slow).
 #   overload   a flood against --max-inflight 2 must produce at least one
 #              429 with a well-formed Retry-After while /v1/healthz stays
-#              green and the /v1/stats shed counter advances.
+#              green and the /v1/metrics shed counter advances.
 set -euo pipefail
 
 mode=${1:?usage: http_smoke.sh <basic|sanitized|overload> <serve-binary> <snapshot.tds>}
@@ -77,10 +77,10 @@ post() {
 case "$mode" in
   basic)
     port=18080
-    # Full tracing + a result cache so the metrics scrape below covers the
-    # trace and cache counters too; fast history sampling and a JSONL log
-    # file so the continuous-observability endpoints have data to show.
-    start_server "$port" --trace-sample 1 --cache 64 \
+    # Full tracing so the metrics scrape below covers the trace counters
+    # too; fast history sampling and a JSONL log file so the
+    # continuous-observability endpoints have data to show.
+    start_server "$port" --trace-sample 1 \
       --history-interval-ms 100 --log-file "$tmp_dir/serve.jsonl"
     server_pid=$last_pid
     wait_healthy "$port" 50
@@ -89,8 +89,9 @@ case "$mode" in
     post "$port" '{"labels": ["q:0", "q:1"], "k": 3}' | grep -q '"results"'
     # A vector component that overflows float (inf after the cast) must be
     # rejected with 400, not answered with NaN scores.
-    dim=$(curl -sf "http://127.0.0.1:$port/v1/stats" \
-      | python3 -c 'import json, sys; print(json.load(sys.stdin)["dim"])')
+    dim=$("$serve_bin" info --snapshot "$snapshot" \
+      | sed -n 's/^ *vectors: [0-9]* *dim: \([0-9]*\)$/\1/p')
+    [ -n "$dim" ] || fail "tdmatch_serve info printed no dim"
     body='{"vector": [1e400'
     for ((i = 1; i < dim; i++)); do body+=', 0'; done
     body+='], "k": 3}'
@@ -102,15 +103,15 @@ case "$mode" in
       -d "{\"snapshot\": \"$tmp_dir/reload.tds\"}" \
       | grep -q '"snapshot_version":2'
     post "$port" '{"label": "q:0", "k": 3}' | grep -q '"snapshot_version":2'
-    curl -sf "http://127.0.0.1:$port/v1/stats" | grep -q '"reloads":1'
 
-    # The same single-label query twice: the second hit must come from the
-    # result cache, so the scrape below can assert the hit counter moved.
-    post "$port" '{"label": "q:1", "k": 3}' > /dev/null
-    post "$port" '{"label": "q:1", "k": 3}' > /dev/null
+    # The same single-label query twice answers byte-identically.
+    post "$port" '{"label": "q:1", "k": 3}' > "$tmp_dir/r1.json"
+    post "$port" '{"label": "q:1", "k": 3}' > "$tmp_dir/r2.json"
+    cmp -s "$tmp_dir/r1.json" "$tmp_dir/r2.json" \
+      || fail "a repeated query answered differently"
 
     # Prometheus scrape: structurally valid exposition (python checker),
-    # request/trace/reload/cache counters advanced by the traffic above.
+    # request/trace/reload counters advanced by the traffic above.
     curl -sf "http://127.0.0.1:$port/v1/metrics" > "$tmp_dir/metrics.txt"
     python3 "$(dirname "$0")/check_metrics.py" "$tmp_dir/metrics.txt" \
       --require tdmatch_request_latency_ms \
@@ -121,7 +122,6 @@ case "$mode" in
       --min tdmatch_queries_total:6 \
       --min tdmatch_traces_total:5 \
       --min tdmatch_reloads_total:1 \
-      --min tdmatch_cache_hits_total:1 \
       || fail "metrics exposition check failed"
 
     # Metric history: a scripted burst of 8 more queries, then the
@@ -243,9 +243,10 @@ case "$mode" in
     [ "$sheds" -ge 1 ] || fail "flood of $flood produced no 429 shed"
     curl -sf "http://127.0.0.1:$port/v1/healthz" > /dev/null \
       || fail "healthz went red under overload"
-    curl -sf "http://127.0.0.1:$port/v1/stats" > "$tmp_dir/stats.json"
-    grep -q '"shed":0' "$tmp_dir/stats.json" \
-      && fail "stats shed counter did not advance"
+    curl -sf "http://127.0.0.1:$port/v1/metrics" > "$tmp_dir/metrics.txt"
+    python3 "$(dirname "$0")/check_metrics.py" "$tmp_dir/metrics.txt" \
+      --min tdmatch_admission_shed_total:1 \
+      || fail "metrics shed counter did not advance"
 
     drain "$server_pid"
     ;;

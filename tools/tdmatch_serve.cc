@@ -23,14 +23,14 @@
 //                 [--trace-sample F] [--slow-query-ms X] [--log-level L]
 //                          # HTTP front end over the mmap'ed snapshot:
 //                          # POST /v1/query, GET /v1/healthz, GET
-//                          # /v1/stats, GET /v1/metrics (Prometheus),
-//                          # POST /v1/reload; SIGTERM/SIGINT drain and
-//                          # exit 0
+//                          # /v1/metrics (Prometheus), POST /v1/reload;
+//                          # SIGTERM/SIGINT drain and exit 0
 //
 // Query labels are the snapshot's embedding labels (the graph's metadata
 // doc labels). The REPL, batch mode, and the HTTP API accept the
 // shorthands `q:<i>` and `c:<i>` for query/candidate doc i of the trained
-// scenario.
+// scenario (serve::ResolveLabel: a digits-only index; the CLI trims each
+// input line first).
 
 #include <csignal>
 #include <cstring>
@@ -45,7 +45,6 @@
 
 #include "bench_common.h"
 #include "corpus/loader.h"
-#include "graph/builder.h"
 #include "serve/http/server.h"
 #include "serve/http/service.h"
 #include "serve/mmap_snapshot.h"
@@ -53,7 +52,6 @@
 #include "serve/snapshot.h"
 #include "util/obs/jsonlog.h"
 #include "util/obs/metrics.h"
-#include "util/obs/phase_profile.h"
 #include "util/result.h"
 #include "util/simd/kernels.h"
 #include "util/string_util.h"
@@ -87,8 +85,8 @@ struct ServeArgs {
   bool no_reload = false;
   /// SIZE_MAX = no admission limit; 0 is valid and sheds every query.
   size_t max_inflight = std::numeric_limits<size_t>::max();
+  /// Latency SLO threshold (ms); 0 turns the latency objective off.
   double latency_budget_ms = 0.0;
-  size_t cache_entries = 0;
   bool allow_delay = false;
   /// Fraction of queries traced with per-stage spans (0 = off, 1 = all).
   double trace_sample = 0.0;
@@ -136,7 +134,7 @@ int Usage(const char* prog) {
       "                 [--threads N] [--http-threads N] [--k N]\n"
       "                 [--nprobe N] [--exact] [--no-reload]\n"
       "                 [--max-inflight N]\n"
-      "                 [--latency-budget-ms X] [--cache N] [--allow-delay]\n"
+      "                 [--latency-budget-ms X] [--allow-delay]\n"
       "                 [--trace-sample F] [--slow-query-ms X]\n"
       "                 [--log-level debug|info|warn|error]\n"
       "                 [--log-file PATH] [--log-max-bytes N]\n"
@@ -147,9 +145,8 @@ int Usage(const char* prog) {
       "                 [--profile-hz N]\n"
       "                 (--max-inflight: shed 429 + Retry-After past N\n"
       "                  in-flight queries (0 sheds all); --latency-budget-ms:\n"
-      "                  auto-tune nprobe to a p99 target + the latency\n"
-      "                  SLO threshold; --cache: LRU\n"
-      "                  result-cache entries; --allow-delay: honor the\n"
+      "                  the latency SLO threshold (0 = no latency\n"
+      "                  objective); --allow-delay: honor the\n"
       "                  debug 'delay_ms' query field; --trace-sample:\n"
       "                  fraction of queries traced with per-stage spans;\n"
       "                  --slow-query-ms: JSONL-log queries slower than X;\n"
@@ -177,15 +174,10 @@ bool ParseSize(const std::string& s, size_t* out) {
   return true;
 }
 
-/// `q:3` / `c:7` → metadata doc labels; anything else passes through.
-std::string ResolveLabel(const std::string& raw) {
-  const std::string_view s = util::Trim(raw);
-  size_t idx = 0;
-  if (s.size() > 2 && (s[0] == 'q' || s[0] == 'c') && s[1] == ':' &&
-      ParseSize(std::string(s.substr(2)), &idx)) {
-    return graph::GraphBuilder::MetaDocLabel(s[0] == 'q' ? 0 : 1, idx);
-  }
-  return std::string(s);
+/// A trimmed input line with the `q:<i>` / `c:<i>` shorthand resolved.
+std::string ResolveInput(const std::string& raw,
+                         const serve::SnapshotMeta& meta) {
+  return serve::ResolveLabel(std::string(util::Trim(raw)), meta);
 }
 
 void PrintMatches(const std::string& query,
@@ -246,20 +238,8 @@ int RunBuildSnapshot(const ServeArgs& args) {
            util::StrFormat("%zu", sc.data.scenario.second.NumDocs()));
   meta.Set("query_prefix", kQueryPrefix);
   meta.Set("candidate_prefix", kCandidatePrefix);
-
-  // Offline phase timings travel with the snapshot: the serving process
-  // republishes every `phase_<name>_seconds` key as a
-  // tdmatch_snapshot_phase_seconds{phase="<name>"} gauge, so a scrape of
-  // /v1/metrics shows what the build this snapshot came from cost.
-  meta.Set("phase_generate_seconds", util::StrFormat("%.6f", gen_seconds));
-  for (const char* phase : {"graph_build", "expand", "compress", "walks",
-                            "train", "match", "export"}) {
-    const double s = run->profile.Seconds(phase);
-    if (s > 0.0) {
-      meta.Set(util::StrFormat("phase_%s_seconds", phase),
-               util::StrFormat("%.6f", s));
-    }
-  }
+  // No wall-clock value goes into the meta: the same flags and seed write
+  // a byte-identical file. The timings go to stdout instead.
 
   // Train the serving index once at build time and embed it as a
   // snapshot section: serving processes adopt it (QueryEngineOptions::
@@ -281,7 +261,6 @@ int RunBuildSnapshot(const ServeArgs& args) {
     return 1;
   }
   const double index_seconds = watch.ElapsedSeconds();
-  meta.Set("phase_index_seconds", util::StrFormat("%.6f", index_seconds));
   std::vector<std::pair<std::string, std::string>> sections;
   sections.emplace_back(serve::QueryEngine::kIvfSectionTag,
                         qe->SerializeIvfSection());
@@ -371,7 +350,7 @@ int RunQueryRepl(const ServeArgs& args) {
   std::string line;
   size_t failed = 0;
   while (std::getline(std::cin, line)) {
-    const std::string label = ResolveLabel(line);
+    const std::string label = ResolveInput(line, engine->meta());
     if (label.empty()) break;
     util::StopWatch qwatch;
     auto result = engine->Query(label, args.k,
@@ -413,7 +392,7 @@ int RunBatch(const ServeArgs& args) {
       return 1;
     }
     for (size_t i = 0; i < queries->NumDocs(); ++i) {
-      labels.push_back(ResolveLabel(queries->DocText(i)));
+      labels.push_back(ResolveInput(queries->DocText(i), engine->meta()));
     }
   } else {
     std::ifstream in(args.queries_path);
@@ -423,7 +402,7 @@ int RunBatch(const ServeArgs& args) {
     }
     std::string line;
     while (std::getline(in, line)) {
-      const std::string label = ResolveLabel(line);
+      const std::string label = ResolveInput(line, engine->meta());
       if (!label.empty()) labels.push_back(label);
     }
   }
@@ -485,7 +464,6 @@ int RunServe(const ServeArgs& args) {
   sopts.allow_reload = !args.no_reload;
   sopts.max_inflight = args.max_inflight;
   sopts.latency_budget_ms = args.latency_budget_ms;
-  sopts.cache_entries = args.cache_entries;
   sopts.allow_debug_delay = args.allow_delay;
   sopts.trace_sample = args.trace_sample;
   sopts.slow_query_ms = args.slow_query_ms;
@@ -671,11 +649,6 @@ int Main(int argc, char** argv) {
       if (!util::ParseDouble(v, &args.latency_budget_ms) ||
           args.latency_budget_ms < 0.0) {
         std::fprintf(stderr, "bad --latency-budget-ms '%s'\n", v);
-        return 2;
-      }
-    } else if (flag == "--cache" && (v = next())) {
-      if (!ParseSize(v, &args.cache_entries)) {
-        std::fprintf(stderr, "bad --cache '%s'\n", v);
         return 2;
       }
     } else if (flag == "--allow-delay") {
